@@ -19,6 +19,7 @@
 #include "bytecode/VM.h"
 #include "core/Debugger.h"
 #include "core/GADT.h"
+#include "core/ReferenceOracle.h"
 #include "interp/Interpreter.h"
 #include "obs/Log.h"
 #include "obs/Trace.h"
@@ -284,6 +285,36 @@ void BM_BatchThroughputSerial(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BatchThroughputSerial);
+
+/// One judgement of a warm IntendedProgramOracle (explains the session
+/// benchmark's `core.oracle_call_us`): the buggy program's \p Unit call is
+/// re-run in the fixed program and its outputs compared. chain47 judges
+/// p1, whose call runs the whole 47-deep chain; wide46 judges p, which
+/// makes 46 leaf calls. The oracle, its interpreter and the fixed
+/// program's compile stay warm across iterations, as they do within a
+/// session.
+void BM_OracleJudge(benchmark::State &State, workload::ProgramPair Pair,
+                    const char *Unit) {
+  auto Buggy = compileOrDie(Pair.Buggy);
+  auto Fixed = compileOrDie(Pair.Fixed);
+  auto Tree = trace::buildExecTree(*Buggy, {}, {});
+  const trace::ExecNode *Node = nullptr;
+  Tree->forEachNode([&](trace::ExecNode *N) {
+    if (!Node && N->getName() == Unit)
+      Node = N;
+  });
+  if (!Node)
+    std::abort();
+  core::IntendedProgramOracle Oracle(*Fixed);
+  for (auto _ : State) {
+    core::Judgement J = Oracle.judge(*Node);
+    benchmark::DoNotOptimize(J.A);
+  }
+}
+BENCHMARK_CAPTURE(BM_OracleJudge, chain47, workload::chainProgram(47, 47),
+                  "p1");
+BENCHMARK_CAPTURE(BM_OracleJudge, wide46,
+                  workload::wideIrrelevantProgram(46), "p");
 
 //===--------------------------------------------------------------------===//
 // Dispatch and background-compile benchmarks (X14): the threaded-dispatch

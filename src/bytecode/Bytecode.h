@@ -182,11 +182,13 @@ struct Instr {
 //===----------------------------------------------------------------------===//
 
 /// Location/name payload for instructions that can raise runtime errors.
-/// Deduplicated; errors are cold, so this stays out of the Instr encoding.
+/// Errors are cold, so this stays out of the Instr encoding. Every Step
+/// reads its row's location, and a unit lives as long as its program, so
+/// rows stay small: the name is interned (most rows have none).
 struct DebugInfo {
   SourceLoc Loc;
-  std::string Name; ///< variable name for unset/bounds messages
-  bool InRead = false; ///< bounds message variant for read statements
+  support::Symbol Name; ///< variable name for unset/bounds messages
+  bool InRead = false;  ///< bounds message variant for read statements
 };
 
 /// One call site, fully resolved at compile time.

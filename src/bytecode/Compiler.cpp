@@ -47,8 +47,7 @@ size_t CompiledProgram::memoryBytes() const {
   Bytes += Sites.size() * sizeof(CallSiteInfo);
   Bytes += ArgPool.size() * sizeof(ArgDesc);
   Bytes += Loops.size() * sizeof(LoopInfo);
-  for (const DebugInfo &D : Debug)
-    Bytes += sizeof(DebugInfo) + D.Name.size();
+  Bytes += Debug.size() * sizeof(DebugInfo);
   Bytes += Segments.size() * sizeof(RoutineSegment);
   Bytes += DebugSources.size() * sizeof(DebugSrc);
   return Bytes;
@@ -111,6 +110,16 @@ public:
         *WhyNot = Why;
       return nullptr;
     }
+    // A unit lives as long as its program; return the append-only side
+    // tables' growth slack (about a third of a small program's unit).
+    CP->Routines.shrink_to_fit();
+    CP->Consts.shrink_to_fit();
+    CP->Sites.shrink_to_fit();
+    CP->ArgPool.shrink_to_fit();
+    CP->Loops.shrink_to_fit();
+    CP->Debug.shrink_to_fit();
+    CP->Segments.shrink_to_fit();
+    CP->DebugSources.shrink_to_fit();
     return CP;
   }
 
@@ -201,10 +210,12 @@ private:
 
   /// \p S / \p E record which AST node the row's location came from, so an
   /// incremental replay can refresh it after lines shift.
-  uint32_t dbg(SourceLoc Loc, std::string Name = "", bool InRead = false,
-               const Stmt *S = nullptr, const Expr *E = nullptr) {
+  uint32_t dbg(SourceLoc Loc, const std::string &Name = {},
+               bool InRead = false, const Stmt *S = nullptr,
+               const Expr *E = nullptr) {
     uint32_t Idx = static_cast<uint32_t>(Out->Debug.size());
-    Out->Debug.push_back({Loc, std::move(Name), InRead});
+    Out->Debug.push_back(
+        {Loc, Name.empty() ? support::Symbol() : internSym(Name), InRead});
     Out->DebugSources.push_back({S, E});
     return Idx;
   }
@@ -791,7 +802,9 @@ private:
     Seg.DebugCount = static_cast<uint32_t>(Out->Debug.size()) - Seg.DebugStart;
     CompiledRoutine CR;
     CR.Routine = Cur;
-    CR.Code = std::move(Code);
+    // Copy out at exact size: the scratch vector keeps its capacity for
+    // the next routine, and the unit holds no growth slack.
+    CR.Code.assign(Code.begin(), Code.end());
     CR.NumRegs = NumRegs;
     Out->Routines.push_back(std::move(CR));
     Out->Segments.push_back(Seg);

@@ -352,6 +352,45 @@ DispatchMode envDispatchMode() {
   return M;
 }
 
+/// Runs the dispatch loop from the top frame until the base frame
+/// returns (or a failure unwinds to it).
+void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
+#ifdef GADT_COMPUTED_GOTO
+  if (dispatchMode() == DispatchMode::Threaded) {
+    if (S.Opts.TrackDeps)
+      dispatchThreaded<true>(S, CP, VS);
+    else
+      dispatchThreaded<false>(S, CP, VS);
+    return;
+  }
+#endif
+  if (S.Opts.TrackDeps)
+    dispatchSwitch<true>(S, CP, VS);
+  else
+    dispatchSwitch<false>(S, CP, VS);
+}
+
+/// Makes \p Act, running routine \p RoutineIdx as unit \p NodeId, the
+/// VM's only frame.
+void enterBaseFrame(const CompiledProgram &CP, VMState &VS,
+                    uint32_t RoutineIdx, Activation &Act, uint32_t NodeId) {
+  VS.Depth = 1;
+  VS.Loops.clear();
+  VMFrame &F = VS.frameAt(0);
+  F.RoutineIdx = RoutineIdx;
+  F.PC = 0;
+  F.RegBase = 0;
+  F.Dest = NoDest;
+  F.Act = &Act;
+  F.CallerAct = nullptr;
+  F.LoopBase = 0;
+  F.Callee = CP.Routines[RoutineIdx].Routine;
+  F.NodeId = NodeId;
+  F.EntryInputs.clear();
+  if (VS.Regs.size() < CP.Routines[RoutineIdx].NumRegs)
+    VS.Regs.resize(CP.Routines[RoutineIdx].NumRegs);
+}
+
 } // namespace
 
 void bytecode::setDispatchMode(DispatchMode M) {
@@ -371,45 +410,13 @@ DispatchMode bytecode::dispatchMode() {
 ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
                          VMState &VS) {
   S.reset();
-  VS.Depth = 1;
-  VS.Loops.clear();
   ExecResult Res;
 
   Activation &Main = VS.actAt(0);
   S.setUpMainActivation(Main);
   uint32_t RootId = S.enterRoot(Main);
-
-  VMFrame &MF = VS.frameAt(0);
-  MF.RoutineIdx = 0;
-  MF.PC = 0;
-  MF.RegBase = 0;
-  MF.Dest = NoDest;
-  MF.Act = &Main;
-  MF.CallerAct = nullptr;
-  MF.LoopBase = 0;
-  MF.Callee = CP.Routines[0].Routine;
-  MF.NodeId = RootId;
-  MF.EntryInputs.clear();
-  if (VS.Regs.size() < CP.Routines[0].NumRegs)
-    VS.Regs.resize(CP.Routines[0].NumRegs);
-
-#ifdef GADT_COMPUTED_GOTO
-  if (dispatchMode() == DispatchMode::Threaded) {
-    if (S.Opts.TrackDeps)
-      dispatchThreaded<true>(S, CP, VS);
-    else
-      dispatchThreaded<false>(S, CP, VS);
-  } else if (S.Opts.TrackDeps) {
-    dispatchSwitch<true>(S, CP, VS);
-  } else {
-    dispatchSwitch<false>(S, CP, VS);
-  }
-#else
-  if (S.Opts.TrackDeps)
-    dispatchSwitch<true>(S, CP, VS);
-  else
-    dispatchSwitch<false>(S, CP, VS);
-#endif
+  enterBaseFrame(CP, VS, 0, Main, RootId);
+  dispatch(S, CP, VS);
 
   S.exitRoot(RootId, Main, Res);
   Res.Ok = !S.Failed;
@@ -419,4 +426,29 @@ ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
   Res.UnitsExecuted = S.NodeCounter;
   S.flushPoolStats();
   return Res;
+}
+
+void bytecode::callRoutine(ExecState &S, const CompiledProgram &CP,
+                           VMState &VS, std::vector<Binding> EntryInputs,
+                           uint64_t Watermark, std::vector<Binding> &Outputs) {
+  Activation &Act = S.EntryCallee;
+  const pascal::RoutineDecl *Callee = Act.R;
+  uint32_t Idx = 0;
+  while (Idx != CP.Routines.size() && CP.Routines[Idx].Routine != Callee)
+    ++Idx;
+  if (Idx == CP.Routines.size()) {
+    S.fail(Callee->getLoc(), "internal: routine '" + Callee->getName() +
+                                 "' is not in the compiled program");
+    return;
+  }
+  // The frame stack may grow during dispatch; keep the node id locally.
+  uint32_t NodeId = S.beginCallUnit(Act, Callee, nullptr, nullptr,
+                                    Callee->getLoc(), Watermark);
+  enterBaseFrame(CP, VS, Idx, Act, NodeId);
+  ++S.CallDepth;
+  dispatch(S, CP, VS);
+  --S.CallDepth;
+  Value Result;
+  S.finishCallUnit(Act, Callee, std::move(EntryInputs), NodeId, nullptr,
+                   &Outputs, &Result);
 }

@@ -49,6 +49,14 @@ DispatchMode dispatchMode();
 interp::ExecResult run(interp::ExecState &S, const CompiledProgram &CP,
                        VMState &VS);
 
+/// Executes one routine directly: the callee activation \p S.EntryCallee,
+/// set up by ExecState::setUpRoutineEntry with unit watermark
+/// \p Watermark, runs as the VM's base frame. Raises the same events and
+/// collects the same \p Outputs as the tree walker's callRoutine.
+void callRoutine(interp::ExecState &S, const CompiledProgram &CP,
+                 VMState &VS, std::vector<interp::Binding> EntryInputs,
+                 uint64_t Watermark, std::vector<interp::Binding> &Outputs);
+
 } // namespace bytecode
 } // namespace gadt
 

@@ -19,20 +19,33 @@
 #define GADT_CORE_REFERENCEORACLE_H
 
 #include "core/Oracle.h"
+#include "interp/Interpreter.h"
 #include "pascal/AST.h"
 
+#include <memory>
+#include <unordered_map>
+
 namespace gadt {
+namespace analysis {
+class CallGraph;
+class SideEffectAnalysis;
+} // namespace analysis
 namespace core {
 
 /// Judges call units against a reference program containing routines with
 /// the same names and signatures. Loop and iteration units are answered
 /// DontKnow (they have no callable counterpart).
+///
+/// The oracle stays warm across judgements: one Interpreter over the
+/// intended program serves them all (running the program's shared
+/// bytecode compile), and each queried name is resolved to its routine
+/// once.
 class IntendedProgramOracle : public Oracle {
 public:
   /// \p Intended is not owned and must outlive the oracle.
   explicit IntendedProgramOracle(const pascal::Program &Intended,
-                                 std::string Source = "user")
-      : Intended(Intended), Source(std::move(Source)) {}
+                                 std::string Source = "user");
+  ~IntendedProgramOracle() override;
 
   Judgement judge(const trace::ExecNode &N) override;
 
@@ -41,9 +54,23 @@ public:
   unsigned queriesAnswered() const { return Queries; }
 
 private:
+  /// The intended routine named \p Name, or null when it has none.
+  const pascal::RoutineDecl *resolve(support::Symbol Name);
+  /// Whether \p Traced, an output of \p N that the intended routine \p Ref
+  /// did not produce, records a write the intended routine would not make.
+  bool isExtraWrite(const trace::ExecNode &N, const pascal::RoutineDecl *Ref,
+                    const interp::Binding &Traced);
+
   const pascal::Program &Intended;
   std::string Source;
   unsigned Queries = 0;
+  interp::Interpreter Exec;
+  /// Symbol id -> intended routine (null: no counterpart).
+  std::unordered_map<uint32_t, const pascal::RoutineDecl *> Routines;
+  /// The intended program's side effects, built on first need (only
+  /// isExtraWrite asks, and only about outputs the intended run lacks).
+  std::unique_ptr<analysis::CallGraph> CG;
+  std::unique_ptr<analysis::SideEffectAnalysis> Effects;
 };
 
 } // namespace core

@@ -598,6 +598,115 @@ struct ExecState {
       Listener->exitUnit(RootId, {}, std::move(Outputs));
     }
   }
+
+  //===--------------------------------------------------------------------===//
+  // Routine entry (Interpreter::callRoutine)
+  //===--------------------------------------------------------------------===//
+
+  /// The activations a direct routine call runs in: main, the static chain
+  /// from main down to the callee's parent (EntryChain[d - 1] at static
+  /// depth d), and the callee. Kept across calls so a warm caller reuses
+  /// their slot vectors.
+  Activation EntryMain, EntryCallee;
+  std::vector<Activation> EntryChain;
+
+  /// Sets up EntryCallee to call \p Callee directly with \p Args (an unset
+  /// value defaults by type). The chain's locals and parameters are
+  /// default-initialized, then \p Presets override variables by name,
+  /// innermost scope first. \p EntryInputs receives the value-parameter
+  /// bindings when a listener wants them. Returns the callee unit's
+  /// watermark. Both tiers run the callee from here.
+  uint64_t setUpRoutineEntry(const pascal::RoutineDecl *Callee,
+                             std::vector<Value> &Args,
+                             const std::vector<Binding> &Presets,
+                             std::vector<Binding> &EntryInputs) {
+    setUpMainActivation(EntryMain);
+    // Static chain, outermost first (cells are created in that order).
+    const pascal::RoutineDecl *Parent = Callee->getParent();
+    size_t ChainLen = Parent ? Parent->getStorageDepth() : 0;
+    if (EntryChain.size() < ChainLen)
+      EntryChain.resize(ChainLen);
+    for (const pascal::RoutineDecl *R = Parent; R && R->getParent();
+         R = R->getParent())
+      EntryChain[R->getStorageDepth() - 1].R = R;
+    Activation *Link = &EntryMain;
+    for (size_t I = 0; I != ChainLen; ++I) {
+      Activation &A = EntryChain[I];
+      A.StaticLink = Link;
+      A.Watermark = CellSerial + 1;
+      A.Slots.assign(A.R->getNumSlots(), NoCell);
+      A.CtrlStack.clear();
+      for (const auto &L : A.R->getLocals())
+        A.Slots[L->getSlot()] = newCell(L.get(), initialValue(L->getType()));
+      for (const auto &P : A.R->getParams())
+        A.Slots[P->getSlot()] = newCell(P.get(), defaultValue(P->getType()));
+      Link = &A;
+    }
+
+    for (const Binding &Preset : Presets)
+      for (Activation *Cur = Link; Cur; Cur = Cur->StaticLink) {
+        const auto &Decls = Cur->R->getSlotDecls();
+        size_t I = 0, N = Decls.size();
+        while (I != N && !(Cur->Slots[I] != NoCell &&
+                           Decls[I]->getName() == Preset.Name))
+          ++I;
+        if (I != N) {
+          Arena[Cur->Slots[I]].V = Preset.V;
+          break;
+        }
+      }
+
+    Activation &Act = EntryCallee;
+    uint64_t Watermark = CellSerial + 1;
+    Act.R = Callee;
+    Act.StaticLink = Link;
+    Act.Watermark = Watermark;
+    Act.Slots.assign(Callee->getNumSlots(), NoCell);
+    Act.CtrlStack.clear();
+    for (size_t I = 0, N = Callee->getParams().size(); I != N; ++I) {
+      const pascal::VarDecl *Param = Callee->getParams()[I].get();
+      Value V = Args[I].isUnset() ? defaultValue(Param->getType())
+                                  : std::move(Args[I]);
+      if (Listener && !Param->isReference())
+        EntryInputs.push_back({Param->getName(), V});
+      Act.Slots[Param->getSlot()] = newCell(Param, std::move(V));
+    }
+    for (const auto &L : Callee->getLocals())
+      Act.Slots[L->getSlot()] = newCell(L.get(), initialValue(L->getType()));
+    if (Callee->isFunction()) {
+      const pascal::VarDecl *RV = Callee->getResultVar();
+      Act.Slots[RV->getSlot()] =
+          newCell(RV, initialValue(Callee->getReturnType()));
+    }
+    return Watermark;
+  }
+
+  /// Completes a direct call of EntryCallee: \p Outputs are the
+  /// trace-shaped outputs finishCallUnit assembled (written parameters,
+  /// global effects, result), augmented with unwritten var parameters so
+  /// checkers see the full post-state.
+  CallOutcome finishRoutineEntry(std::vector<Binding> Outputs) {
+    const pascal::RoutineDecl *Callee = EntryCallee.R;
+    CallOutcome Out;
+    Out.Ok = !Failed;
+    Out.Error = Error;
+    Out.Output = Output;
+    Out.Outputs = std::move(Outputs);
+    for (const auto &Param : Callee->getParams()) {
+      if (!Param->isReference())
+        continue;
+      bool Present = false;
+      for (const Binding &B : Out.Outputs)
+        if (B.Name == Param->getName())
+          Present = true;
+      if (!Present)
+        Out.Outputs.push_back(
+            {Param->getName(),
+             Arena[EntryCallee.Slots[Param->getSlot()]].V});
+    }
+    flushPoolStats();
+    return Out;
+  }
 };
 
 } // namespace interp

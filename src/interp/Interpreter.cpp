@@ -50,10 +50,11 @@ struct Interpreter::Impl : ExecState {
     SourceLoc Loc;
   } Goto;
 
-  // Bytecode tier: lazily compiled code (when none was injected through
-  // InterpOptions::Code) and the VM's reusable stacks.
-  std::shared_ptr<const bytecode::CompiledProgram> OwnCode;
-  bool CompileAttempted = false;
+  // Bytecode tier: the program's shared compile (when no code was
+  // injected through InterpOptions::Code), fetched once, and the VM's
+  // reusable stacks.
+  std::shared_ptr<const bytecode::CompiledProgram> ProgCode;
+  bool ProgCodeFetched = false;
   bytecode::VMState *VS = nullptr;
   // Hot-swap: code adopted from InterpOptions::CodeAsync once the
   // background compile published. Adopted exactly once per Interpreter.
@@ -659,27 +660,11 @@ struct Interpreter::Impl : ExecState {
   // Entry points
   //===--------------------------------------------------------------------===//
 
-  Activation makeActivation(const RoutineDecl *R, Activation *Link) {
-    Activation Act;
-    Act.R = R;
-    Act.StaticLink = Link;
-    Act.Watermark = CellSerial + 1;
-    Act.Slots.resize(R->getNumSlots(), NoCell);
-    return Act;
-  }
-
-  Activation makeMainActivation() {
-    Activation Main = makeActivation(Prog.getMain(), nullptr);
-    for (const auto &G : Prog.getMain()->getLocals())
-      Main.Slots[G->getSlot()] =
-          newCell(G.get(), initialValue(G->getType()));
-    return Main;
-  }
-
   ExecResult runTree() {
     resetRun();
     ExecResult Res;
-    Activation Main = makeMainActivation();
+    Activation Main;
+    setUpMainActivation(Main);
     uint32_t RootId = enterRoot(Main);
 
     if (Prog.getMain()->getBody())
@@ -714,10 +699,11 @@ struct Interpreter::Impl : ExecState {
 
   /// The compiled unit to run, preferring code injected via InterpOptions
   /// (the RuntimeContext cache) when it matches this program and checking
-  /// mode; otherwise compiles once. Null = unsupported, run the tree —
-  /// except while a background compile is pending (\p Pending), where the
-  /// tree runs *without* a private compile so the first unit is not taxed
-  /// with the ~150 µs the compile lane exists to hide.
+  /// mode; otherwise the program's own compile, built once per Program and
+  /// shared by every Interpreter over it. Null = unsupported, run the
+  /// tree — except while a background compile is pending (\p Pending),
+  /// where the tree runs *without* compiling so the first unit is not
+  /// taxed with the ~150 µs the compile lane exists to hide.
   const bytecode::CompiledProgram *resolveCode(bool &Pending) {
     Pending = false;
     if (Opts.Code && Opts.Code->Prog == &Prog &&
@@ -751,14 +737,19 @@ struct Interpreter::Impl : ExecState {
         return nullptr;
       }
     }
-    if (!CompileAttempted) {
-      CompileAttempted = true;
-      OwnCode = bytecode::compile(Prog, Opts.DetectUninitialized);
+    if (!ProgCodeFetched) {
+      ProgCodeFetched = true;
+      ProgCode = Prog.compiledCode(Opts.DetectUninitialized, [this] {
+        return bytecode::compile(Prog, Opts.DetectUninitialized);
+      });
     }
-    return OwnCode.get();
+    return ProgCode.get();
   }
 
-  ExecResult run() {
+  /// Picks the executor for one entry point (run or callRoutine) and bumps
+  /// its `interp.tier.*` counter: the compiled unit to run on the VM, or
+  /// null for the tree walker.
+  const bytecode::CompiledProgram *selectTier() {
     ExecTier Tier = Opts.Tier != ExecTier::Auto ? Opts.Tier : envTier();
     if (Tier == ExecTier::Bytecode) {
       bool Pending = false;
@@ -768,7 +759,7 @@ struct Interpreter::Impl : ExecState {
         TierBc.add();
         if (!VS)
           VS = bytecode::createVMState();
-        return bytecode::run(*this, *CP, *VS);
+        return CP;
       }
       if (!Pending) {
         static obs::Counter &TierFb =
@@ -779,125 +770,42 @@ struct Interpreter::Impl : ExecState {
     static obs::Counter &TierTree =
         obs::Registry::global().counter("interp.tier.tree");
     TierTree.add();
-    return runTree();
-  }
-
-  const RoutineDecl *findRoutineByName(const RoutineDecl *Root,
-                                       const std::string &Name) {
-    if (Root->getName() == Name)
-      return Root;
-    for (const auto &N : Root->getNested())
-      if (const RoutineDecl *Found = findRoutineByName(N.get(), Name))
-        return Found;
     return nullptr;
   }
 
-  CallOutcome callRoutine(const std::string &Name, std::vector<Value> Args,
+  ExecResult run() {
+    if (const bytecode::CompiledProgram *CP = selectTier())
+      return bytecode::run(*this, *CP, *VS);
+    return runTree();
+  }
+
+  CallOutcome callRoutine(const RoutineDecl *Callee, std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets) {
     resetRun();
-    CallOutcome Out;
-    const RoutineDecl *Callee = findRoutineByName(Prog.getMain(), Name);
-    if (!Callee) {
-      Out.Error = {SourceLoc(), "no routine named '" + Name + "'"};
-      return Out;
-    }
     if (Args.size() != Callee->getParams().size()) {
-      Out.Error = {SourceLoc(), "argument count mismatch calling '" + Name +
-                                    "'"};
+      CallOutcome Out;
+      Out.Error = {SourceLoc(), "argument count mismatch calling '" +
+                                    Callee->getName() + "'"};
       return Out;
     }
-
-    Activation Main = makeMainActivation();
-    // Build activations for the static chain from main down to the callee's
-    // parent (their locals are default-initialized). This lets test cases
-    // invoke nested routines directly.
-    std::vector<std::unique_ptr<Activation>> Chain;
-    Activation *Link = &Main;
-    {
-      std::vector<const RoutineDecl *> Path;
-      for (const RoutineDecl *R = Callee->getParent();
-           R && R != Prog.getMain(); R = R->getParent())
-        Path.push_back(R);
-      for (auto It = Path.rbegin(); It != Path.rend(); ++It) {
-        auto Act = std::make_unique<Activation>(makeActivation(*It, Link));
-        for (const auto &L : (*It)->getLocals())
-          Act->Slots[L->getSlot()] =
-              newCell(L.get(), initialValue(L->getType()));
-        for (const auto &P : (*It)->getParams())
-          Act->Slots[P->getSlot()] =
-              newCell(P.get(), defaultValue(P->getType()));
-        Link = Act.get();
-        Chain.push_back(std::move(Act));
-      }
+    const bytecode::CompiledProgram *CP = selectTier();
+    std::vector<Binding> EntryInputs, Outputs;
+    uint64_t Watermark =
+        setUpRoutineEntry(Callee, Args, GlobalPresets, EntryInputs);
+    if (CP) {
+      bytecode::callRoutine(*this, *CP, *VS, std::move(EntryInputs),
+                            Watermark, Outputs);
+      return finishRoutineEntry(std::move(Outputs));
     }
-
-    // Apply global presets by name, innermost scope first.
-    for (const Binding &Preset : GlobalPresets) {
-      for (Activation *Cur = Link; Cur; Cur = Cur->StaticLink) {
-        bool Applied = false;
-        const auto &Decls = Cur->R->getSlotDecls();
-        for (size_t I = 0, N = Decls.size(); I != N; ++I)
-          if (Cur->Slots[I] != NoCell &&
-              Decls[I]->getName() == Preset.Name) {
-            Arena[Cur->Slots[I]].V = Preset.V;
-            Applied = true;
-            break;
-          }
-        if (Applied)
-          break;
-      }
-    }
-
-    uint64_t Watermark = CellSerial + 1;
-    Activation Act = makeActivation(Callee, Link);
-    Act.Watermark = Watermark;
-    std::vector<Binding> EntryInputs;
-    for (size_t I = 0, N = Callee->getParams().size(); I != N; ++I) {
-      const VarDecl *Param = Callee->getParams()[I].get();
-      Value V = Args[I].isUnset() ? defaultValue(Param->getType())
-                                  : std::move(Args[I]);
-      if (Listener && !Param->isReference())
-        EntryInputs.push_back({Param->getName(), V});
-      Act.Slots[Param->getSlot()] = newCell(Param, std::move(V));
-    }
-    for (const auto &L : Callee->getLocals())
-      Act.Slots[L->getSlot()] = newCell(L.get(), initialValue(L->getType()));
-    if (Callee->isFunction()) {
-      const VarDecl *RV = Callee->getResultVar();
-      Act.Slots[RV->getSlot()] =
-          newCell(RV, initialValue(Callee->getReturnType()));
-    }
-
-    std::vector<Binding> Outputs;
     Value Result;
-    runPreparedCall(Act, Callee, std::move(EntryInputs), nullptr, nullptr,
-                    Callee->getLoc(), nullptr, &Outputs, &Result, Watermark);
+    runPreparedCall(EntryCallee, Callee, std::move(EntryInputs), nullptr,
+                    nullptr, Callee->getLoc(), nullptr, &Outputs, &Result,
+                    Watermark);
     if (Goto.Active) {
       fail(Goto.Loc, "non-local goto escaped the routine under test");
       Goto.Active = false;
     }
-
-    Out.Ok = !Failed;
-    Out.Error = Error;
-    Out.Output = Output;
-    // The trace-shaped outputs (written params, global effects, result),
-    // augmented with unwritten var parameters so checkers see the full
-    // post-state.
-    Out.Outputs = std::move(Outputs);
-    for (size_t I = 0, N = Callee->getParams().size(); I != N; ++I) {
-      const VarDecl *Param = Callee->getParams()[I].get();
-      if (!Param->isReference())
-        continue;
-      bool Present = false;
-      for (const Binding &B : Out.Outputs)
-        if (B.Name == Param->getName())
-          Present = true;
-      if (!Present)
-        Out.Outputs.push_back(
-            {Param->getName(), Arena[Act.Slots[Param->getSlot()]].V});
-    }
-    flushPoolStats();
-    return Out;
+    return finishRoutineEntry(std::move(Outputs));
   }
 };
 
@@ -941,5 +849,22 @@ ExecResult Interpreter::run() {
 CallOutcome Interpreter::callRoutine(const std::string &Name,
                                      std::vector<Value> Args,
                                      const std::vector<Binding> &Presets) {
-  return P->callRoutine(Name, std::move(Args), Presets);
+  const RoutineDecl *Callee = P->Prog.getMain()->findRoutine(Name);
+  if (!Callee) {
+    CallOutcome Out;
+    Out.Error = {SourceLoc(), "no routine named '" + Name + "'"};
+    return Out;
+  }
+  return P->callRoutine(Callee, std::move(Args), Presets);
+}
+
+CallOutcome Interpreter::callRoutine(const RoutineDecl *Routine,
+                                     std::vector<Value> Args,
+                                     const std::vector<Binding> &Presets) {
+  if (!Routine) {
+    CallOutcome Out;
+    Out.Error = {SourceLoc(), "no routine to call"};
+    return Out;
+  }
+  return P->callRoutine(Routine, std::move(Args), Presets);
 }

@@ -188,7 +188,16 @@ public:
   /// Outputs carry the same bindings a traced execution would record
   /// (written var/out parameters, global side effects, function result),
   /// plus unwritten var parameters for checker convenience.
+  ///
+  /// The executor is picked as for run(): the bytecode tier unless the
+  /// options or `GADT_EXEC_TIER` ask for the tree walker or the compiler
+  /// rejects the program. Both produce the same outcome.
   CallOutcome callRoutine(const std::string &Name, std::vector<Value> Args,
+                          const std::vector<Binding> &GlobalPresets = {});
+  /// As above, for a routine of this interpreter's program that the caller
+  /// already resolved (repeat callers skip the name search).
+  CallOutcome callRoutine(const pascal::RoutineDecl *Routine,
+                          std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets = {});
 
 private:

@@ -340,6 +340,16 @@ RoutineDecl *RoutineDecl::findNested(const std::string &RoutineName) const {
   return nullptr;
 }
 
+const RoutineDecl *
+RoutineDecl::findRoutine(const std::string &RoutineName) const {
+  if (Name == RoutineName)
+    return this;
+  for (const auto &R : Nested)
+    if (const RoutineDecl *Found = R->findRoutine(RoutineName))
+      return Found;
+  return nullptr;
+}
+
 namespace {
 
 /// Bookkeeping for cloneTree: old declaration -> new declaration.
@@ -583,7 +593,26 @@ void gadt::pascal::forEachExpr(Stmt *S,
   });
 }
 
+Program::CodePtr
+Program::compiledCode(bool Checked,
+                      const std::function<CodePtr()> &Build) const {
+  std::lock_guard<std::mutex> Lock(CodeMu);
+  CodeSlot &Slot = CodeSlots[Checked];
+  if (!Slot.Built) {
+    Slot.Code = Build();
+    Slot.Built = true;
+  }
+  return Slot.Code;
+}
+
+void Program::resetCompiledCode() {
+  std::lock_guard<std::mutex> Lock(CodeMu);
+  for (CodeSlot &Slot : CodeSlots)
+    Slot = CodeSlot();
+}
+
 uint32_t gadt::pascal::assignStorageSlots(Program &P) {
+  P.resetCompiledCode();
   uint32_t MaxSlots = 0;
   forEachRoutine(P.getMain(), [&MaxSlots](RoutineDecl *R) {
     uint32_t Depth = 0;

@@ -28,10 +28,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace gadt {
+namespace bytecode {
+struct CompiledProgram;
+} // namespace bytecode
 namespace pascal {
 
 class Expr;
@@ -699,6 +703,9 @@ public:
   VarDecl *findLocal(const std::string &Name) const;
   /// Looks up an immediately nested routine by lowercase name.
   RoutineDecl *findNested(const std::string &Name) const;
+  /// Looks up a routine by lowercase name in the tree rooted here (this
+  /// routine included), depth-first in preorder; the first match wins.
+  const RoutineDecl *findRoutine(const std::string &Name) const;
 
   /// Deep copy of the whole routine tree. Cross references inside the clone
   /// (VarRef decls, call targets, var owners) are remapped to the cloned
@@ -795,6 +802,19 @@ public:
   const std::vector<const void *> &getNodeTable() const { return NodeTable; }
   void setNodeTable(std::vector<const void *> T) { NodeTable = std::move(T); }
 
+  using CodePtr = std::shared_ptr<const bytecode::CompiledProgram>;
+  /// The bytecode compile of this program in one checking mode
+  /// (InterpOptions::DetectUninitialized), shared by every Interpreter
+  /// over the program. \p Build runs at most once per mode until the next
+  /// assignStorageSlots; concurrent first requests wait for that one
+  /// compile. A null result (the compiler rejected the program) is cached
+  /// too, so the tree-tier fallback is also decided once.
+  CodePtr compiledCode(bool Checked,
+                       const std::function<CodePtr()> &Build) const;
+  /// Forgets both cached compiles. A compile is only valid for the storage
+  /// layout it was built against, so assignStorageSlots calls this.
+  void resetCompiledCode();
+
 private:
   std::unique_ptr<TypeContext> Types;
   TypeContext *SharedTypes = nullptr; // set on clones
@@ -802,6 +822,12 @@ private:
   std::unique_ptr<RoutineDecl> Main;
   bool SlotsAssigned = false;
   std::vector<const void *> NodeTable;
+  struct CodeSlot {
+    bool Built = false;
+    CodePtr Code;
+  };
+  mutable std::mutex CodeMu;
+  mutable CodeSlot CodeSlots[2]; ///< [Checked]
 
 public:
   /// The context actually used for type creation (shared for clones).

@@ -59,7 +59,8 @@ RuntimeContext::RuntimeContext(obs::Registry *Metrics, RuntimeOptions Opts)
             Reg.gauge("runtime.cache.code.bytes")},
       SliceG{Reg.gauge("runtime.cache.slice.entries"),
              Reg.gauge("runtime.cache.slice.bytes")},
-      Options(Opts), EvictionC(Reg.counter("runtime.cache.evictions")) {}
+      SubjectsG(Reg.gauge("runtime.subjects")), Options(Opts),
+      EvictionC(Reg.counter("runtime.cache.evictions")) {}
 
 RuntimeContext::~RuntimeContext() = default;
 
@@ -74,6 +75,7 @@ void noteLookup(Counters &C, obs::Span &Span, bool WasMiss) {
 } // namespace
 
 void RuntimeContext::publishOccupancy() {
+  std::lock_guard<std::mutex> Lock(OccupancyM);
   auto Publish = [](CacheGauges &G, size_t Entries, size_t Bytes) {
     G.Entries.set(static_cast<int64_t>(Entries));
     G.Bytes.set(static_cast<int64_t>(Bytes));
@@ -83,6 +85,7 @@ void RuntimeContext::publishOccupancy() {
   Publish(SdgG, Sdgs.size(), Sdgs.totalBytes());
   Publish(CodeG, Codes.size(), Codes.totalBytes());
   Publish(SliceG, Slices.size(), Slices.totalBytes());
+  SubjectsG.set(static_cast<int64_t>(Transforms.size()));
 }
 
 void RuntimeContext::enforceBudget() {
@@ -127,6 +130,12 @@ void RuntimeContext::enforceBudget() {
 std::shared_ptr<const pascal::Program>
 RuntimeContext::internProgram(const std::string &Source,
                               DiagnosticsEngine &Diags) {
+  return internEntry(Source, Diags)->Program;
+}
+
+std::shared_ptr<const RuntimeContext::ProgramEntry>
+RuntimeContext::internEntry(const std::string &Source,
+                            DiagnosticsEngine &Diags) {
   uint64_t SourceHash = hashBytes(Source);
   obs::Span Span("cache.program", "cache");
   bool WasMiss = false;
@@ -148,23 +157,23 @@ RuntimeContext::internProgram(const std::string &Source,
     Programs.noteBytes(SourceHash, Source.size() + E->Errors.size() +
                                        sizeof(ProgramEntry));
     enforceBudget();
+    publishOccupancy();
   }
-  publishOccupancy();
   if (!E->Program)
     Diags.error(SourceLoc(), "batch runtime: cached parse failure: " +
                                  E->Errors);
-  return E->Program;
+  return E;
 }
 
 std::shared_ptr<const core::SessionArtifacts>
 RuntimeContext::prepare(const std::string &Source,
                         const core::GADTOptions &Opts,
                         DiagnosticsEngine &Diags) {
-  std::shared_ptr<const pascal::Program> Subject =
-      internProgram(Source, Diags);
-  if (!Subject)
+  std::shared_ptr<const ProgramEntry> Interned = internEntry(Source, Diags);
+  if (!Interned->Program)
     return nullptr;
-  uint64_t Fingerprint = hashProgram(*Subject);
+  std::shared_ptr<const pascal::Program> Subject = Interned->Program;
+  uint64_t Fingerprint = Interned->Fingerprint;
 
   auto Artifacts = std::make_shared<core::SessionArtifacts>();
   Artifacts->Fingerprint = Fingerprint;
@@ -197,9 +206,8 @@ RuntimeContext::prepare(const std::string &Source,
         NewBytes += pascal::printProgram(*X->Transformed).size();
       Transforms.noteBytes(Fingerprint, NewBytes);
       enforceBudget();
+      publishOccupancy();
     }
-    publishOccupancy();
-    Reg.gauge("runtime.subjects").set(static_cast<int64_t>(Transforms.size()));
     if (!X->Transformed) {
       Diags.error(SourceLoc(), "batch runtime: cached transform failure: " +
                                    X->Errors);
@@ -239,8 +247,8 @@ RuntimeContext::prepare(const std::string &Source,
                                      sizeof(analysis::SDGNode) +
                                  uint64_t(G->Graph->numEdges()) * 8);
       enforceBudget();
+      publishOccupancy();
     }
-    publishOccupancy();
     // Alias the SDG's lifetime to its cache entry, and debug the exact
     // program object the graph was built over — textual variants of one
     // fingerprint intern as distinct ASTs, but slices resolve by pointer.
@@ -274,8 +282,8 @@ RuntimeContext::prepare(const std::string &Source,
       if (WasMiss) {
         Slices.noteBytes(Key, sizeof(slicing::StaticSlice) + S->size() * 4);
         enforceBudget();
+        publishOccupancy();
       }
-      publishOccupancy();
       return S;
     };
   }
@@ -314,8 +322,8 @@ RuntimeContext::prepare(const std::string &Source,
       Codes.noteBytes(CodeKey, sizeof(CodeEntry) +
                                    (E->Code ? E->Code->memoryBytes() : 0));
       enforceBudget();
+      publishOccupancy();
     }
-    publishOccupancy();
     // Textual variants of one fingerprint intern as distinct ASTs when
     // transformation is off; compiled code binds to the AST it was built
     // over, so only hand out code whose program is the one this session

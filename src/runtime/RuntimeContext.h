@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <tuple>
 
@@ -146,6 +147,11 @@ public:
 private:
   struct ProgramEntry;
 
+  /// internProgram, returning the whole cache entry (the fingerprint rides
+  /// along, so prepare() does not rehash the program).
+  std::shared_ptr<const ProgramEntry> internEntry(const std::string &Source,
+                                                  DiagnosticsEngine &Diags);
+
   /// Key of the slice memo: (fingerprint, transformed?, routine-name
   /// symbol, output-variable symbol). Symbol ids are process-stable for
   /// equal strings, so the key carries no string payload.
@@ -166,16 +172,22 @@ private:
   };
   CacheCounters ProgramC, TransformC, SdgC, CodeC, SliceC;
 
-  /// `runtime.cache.<cache>.{entries,bytes}` occupancy gauges, refreshed on
-  /// every lookup. Bytes are an estimate of what an entry retains (source
-  /// text, canonical print, graph nodes+edges, slice payload) — good enough
-  /// to watch growth under long batch runs, not an allocator measurement.
+  /// `runtime.cache.<cache>.{entries,bytes}` occupancy gauges, refreshed
+  /// after every miss (the only time occupancy changes: misses insert, and
+  /// budget eviction runs only after a miss). Bytes are an estimate of
+  /// what an entry retains (source text, canonical print, graph
+  /// nodes+edges, slice payload) — good enough to watch growth under long
+  /// batch runs, not an allocator measurement.
   /// The per-entry estimates live in the OnceCaches themselves (noteBytes),
   /// which is what makes budget eviction subtract the right amount.
   struct CacheGauges {
     obs::Gauge &Entries, &Bytes;
   };
   CacheGauges ProgramG, TransformG, SdgG, CodeG, SliceG;
+  obs::Gauge &SubjectsG; ///< `runtime.subjects`: distinct fingerprints
+  /// Serializes publishers, so the last one to publish saw every insert
+  /// and eviction before it.
+  std::mutex OccupancyM;
 
   RuntimeOptions Options;
   obs::Counter &EvictionC; ///< `runtime.cache.evictions`
@@ -183,7 +195,8 @@ private:
   /// Evicts globally least-recently-built ready entries until the summed
   /// byte estimate fits Options.CacheBudgetBytes. No-op when unlimited.
   void enforceBudget();
-  /// Refreshes all ten occupancy gauges from the caches.
+  /// Refreshes the ten occupancy gauges and `runtime.subjects` from the
+  /// caches.
   void publishOccupancy();
 };
 

@@ -27,6 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -753,6 +756,322 @@ TEST(BackgroundCompile, RacingPublishKeepsTranscriptsIdentical) {
   for (int Round = 0; Round < 50; ++Round)
     ASSERT_EQ(renderRun(*Prog, Opts), Golden) << "round " << Round;
   Producer.join();
+}
+
+//===----------------------------------------------------------------------===//
+// Routine entry: callRoutine on both tiers
+//===----------------------------------------------------------------------===//
+
+/// Renders everything a CallOutcome carries, plus the unit events raised
+/// on the way (the listener sees the callee as the root unit).
+std::string renderCall(const pascal::Program &Prog, InterpOptions Opts,
+                       const pascal::RoutineDecl *R,
+                       const std::vector<Value> &Args,
+                       const std::vector<Binding> &Presets) {
+  std::ostringstream Out;
+  for (bool Listen : {false, true}) {
+    Interpreter I(Prog, Opts);
+    trace::ExecTreeBuilder Builder;
+    if (Listen)
+      I.setListener(&Builder);
+    CallOutcome C = I.callRoutine(R, Args, Presets);
+    Out << "ok: " << C.Ok << "\n";
+    if (!C.Ok)
+      Out << "error: " << C.Error.Loc.Line << ":" << C.Error.Loc.Column
+          << " " << escapeLine(C.Error.Message) << "\n";
+    for (const Binding &B : C.Outputs)
+      Out << "out " << B.Name << " = " << B.V.str() << "\n";
+    Out << "output: " << escapeLine(C.Output) << "\n";
+    if (Listen) {
+      auto Tree = Builder.takeTree();
+      Out << "tree:\n"
+          << (Tree && Tree->getRoot() ? Tree->str() : "<none>\n");
+    }
+  }
+  return Out.str();
+}
+
+/// Calls every routine of \p Prog directly on both tiers and requires
+/// identical outcomes. Inputs come from the program's own trace, assembled
+/// as IntendedProgramOracle does: parameters by name, every other input
+/// as a global preset. Routines the trace never reaches are called with
+/// default arguments. Returns how many calls the bytecode tier served.
+unsigned expectCallTiersAgree(const pascal::Program &Prog,
+                              const std::string &Label) {
+  std::vector<const pascal::RoutineDecl *> Routines;
+  pascal::forEachRoutine(Prog.getMain(), [&](pascal::RoutineDecl *R) {
+    Routines.push_back(R);
+  });
+  struct CallCase {
+    const pascal::RoutineDecl *R;
+    std::vector<Value> Args;
+    std::vector<Binding> Presets;
+  };
+  std::vector<CallCase> Cases;
+  InterpOptions TraceOpts;
+  TraceOpts.Tier = ExecTier::Tree;
+  auto Tree = trace::buildExecTree(Prog, TraceOpts, corpusInput());
+  std::vector<bool> Reached(Routines.size());
+  Tree->forEachNode([&](trace::ExecNode *N) {
+    if (N->getKind() != UnitKind::Call || !N->getRoutine())
+      return;
+    const pascal::RoutineDecl *R = N->getRoutine();
+    CallCase C{R, {}, {}};
+    for (const auto &P : R->getParams()) {
+      const Binding *In = N->findInput(P->getName());
+      C.Args.push_back(In ? In->V : Value());
+    }
+    for (const Binding &In : N->getInputs()) {
+      const pascal::VarDecl *D = R->findLocal(In.Name);
+      if (!D || !D->isParam())
+        C.Presets.push_back(In);
+    }
+    for (size_t I = 0; I != Routines.size(); ++I)
+      if (Routines[I] == R)
+        Reached[I] = true;
+    Cases.push_back(std::move(C));
+  });
+  for (size_t I = 0; I != Routines.size(); ++I)
+    if (!Reached[I])
+      Cases.push_back({Routines[I],
+                       std::vector<Value>(Routines[I]->getParams().size()),
+                       {}});
+
+  obs::Counter &VMCalls =
+      obs::Registry::global().counter("interp.tier.bytecode");
+  uint64_t Before = VMCalls.value();
+  for (const CallCase &C : Cases)
+    for (bool Checked : {false, true}) {
+      InterpOptions Opts;
+      Opts.DetectUninitialized = Checked;
+      Opts.Tier = ExecTier::Tree;
+      std::string TreeSide = renderCall(Prog, Opts, C.R, C.Args, C.Presets);
+      Opts.Tier = ExecTier::Bytecode;
+      std::string VMSide = renderCall(Prog, Opts, C.R, C.Args, C.Presets);
+      EXPECT_EQ(TreeSide, VMSide)
+          << Label << ": " << C.R->getName() << " checked=" << Checked;
+    }
+  return static_cast<unsigned>(VMCalls.value() - Before);
+}
+
+/// Nested routines (static-chain activations and presets matched
+/// innermost first), a function, an unwritten var parameter, a runtime
+/// error inside a loop, and output text.
+const char *EntrySrc = "program entry;\n"
+                       "var g, h: integer;\n"
+                       "procedure outer(a: integer; var r: integer);\n"
+                       "var g, k: integer;\n"
+                       "  function inner(x: integer): integer;\n"
+                       "  var i: integer;\n"
+                       "  begin\n"
+                       "    inner := 0;\n"
+                       "    for i := 1 to x do\n"
+                       "      inner := inner + g + h + 10 div (3 - i);\n"
+                       "    write(inner);\n"
+                       "    h := h + 1\n"
+                       "  end;\n"
+                       "  procedure keep(var u, v: integer);\n"
+                       "  begin\n"
+                       "    u := v + k\n"
+                       "  end;\n"
+                       "begin\n"
+                       "  g := a; k := 2;\n"
+                       "  r := inner(a);\n"
+                       "  keep(r, r)\n"
+                       "end;\n"
+                       "begin\n"
+                       "  g := 1; h := 3;\n"
+                       "  outer(1, g);\n"
+                       "  writeln(g, h)\n"
+                       "end.";
+
+TEST(BytecodeRoutineEntry, HandWrittenCases) {
+  auto Prog = compile(EntrySrc);
+  ASSERT_TRUE(Prog);
+  EXPECT_GT(expectCallTiersAgree(*Prog, "entry"), 0u);
+
+  // Direct calls of the nested function: presets reach the enclosing
+  // routine's g (innermost scope first) and the global h; x = 3 divides
+  // by zero inside the loop.
+  const pascal::RoutineDecl *Inner = Prog->getMain()->findRoutine("inner");
+  ASSERT_TRUE(Inner);
+  for (int64_t X : {2, 3}) {
+    std::vector<Value> Args{Value::makeInt(X)};
+    std::vector<Binding> Presets{{"g", Value::makeInt(7)},
+                                 {"h", Value::makeInt(5)}};
+    InterpOptions Opts;
+    Opts.Tier = ExecTier::Tree;
+    std::string TreeSide = renderCall(*Prog, Opts, Inner, Args, Presets);
+    Opts.Tier = ExecTier::Bytecode;
+    EXPECT_EQ(TreeSide, renderCall(*Prog, Opts, Inner, Args, Presets));
+  }
+  Interpreter I(*Prog);
+  CallOutcome Ok = I.callRoutine(
+      Inner, {Value::makeInt(1)}, {{"g", Value::makeInt(7)}});
+  ASSERT_TRUE(Ok.Ok) << Ok.Error.Message;
+  ASSERT_EQ(Ok.Outputs.size(), 2u);
+  EXPECT_EQ(Ok.Outputs[0].Name, "h"); // global effect, then the result
+  EXPECT_EQ(Ok.Outputs[1].Name, "inner");
+  EXPECT_EQ(Ok.Outputs[1].V.asInt(), 12); // 0 + g + h + 10 div 2
+  CallOutcome Bad = I.callRoutine(Inner, {Value::makeInt(3)}, {});
+  EXPECT_FALSE(Bad.Ok);
+  EXPECT_EQ(Bad.Error.Message, "division by zero");
+}
+
+TEST(BytecodeRoutineEntry, PaperAndSamplePrograms) {
+  unsigned VMCalls = 0;
+  for (const char *Src : {Figure4Buggy, Figure4Fixed, Figure2,
+                          Section6Globals, ArrsumProgram}) {
+    auto Prog = compile(Src);
+    ASSERT_TRUE(Prog);
+    VMCalls += expectCallTiersAgree(*Prog, Prog->getName());
+  }
+  // samples/ holds the goldens' programs and the three payroll variants.
+  namespace fs = std::filesystem;
+  unsigned Files = 0;
+  for (const auto &Entry : fs::directory_iterator(GADT_SAMPLES_DIR)) {
+    if (Entry.path().extension() != ".pas")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    auto Prog = compile(Src.str());
+    ASSERT_TRUE(Prog) << Entry.path();
+    VMCalls += expectCallTiersAgree(*Prog, Entry.path().filename());
+    ++Files;
+  }
+  EXPECT_GE(Files, 9u);
+  EXPECT_GT(VMCalls, 0u);
+}
+
+TEST(BytecodeRoutineEntry, RandomPrograms) {
+  unsigned VMCalls = 0;
+  for (uint32_t Seed = 1; Seed <= 16; ++Seed) {
+    SyntheticOptions Opts;
+    Opts.Seed = Seed * 31 + 7;
+    Opts.NumRoutines = 3 + Seed % 5;
+    Opts.NumGlobals = 1 + Seed % 4;
+    Opts.UseGotos = Seed % 4 == 0; // rejected by the compiler: tree only
+    ProgramPair P = randomProgram(Opts);
+    for (const std::string *Src : {&P.Buggy, &P.Fixed}) {
+      auto Prog = compile(*Src);
+      ASSERT_TRUE(Prog);
+      VMCalls +=
+          expectCallTiersAgree(*Prog, "seed" + std::to_string(Seed));
+    }
+  }
+  EXPECT_GT(VMCalls, 100u);
+}
+
+TEST(BytecodeRoutineEntry, CountsTiersLikeRun) {
+  auto Prog = compile(chainProgram(3, 1).Fixed);
+  obs::Counter &VM = obs::Registry::global().counter("interp.tier.bytecode");
+  obs::Counter &Tree = obs::Registry::global().counter("interp.tier.tree");
+  uint64_t VM0 = VM.value(), Tree0 = Tree.value();
+  InterpOptions Opts;
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter I(*Prog, Opts);
+  EXPECT_TRUE(I.callRoutine("p1", {Value::makeInt(2), Value()}).Ok);
+  EXPECT_EQ(VM.value(), VM0 + 1);
+  Opts.Tier = ExecTier::Tree;
+  Interpreter T(*Prog, Opts);
+  EXPECT_TRUE(T.callRoutine("p1", {Value::makeInt(2), Value()}).Ok);
+  EXPECT_EQ(Tree.value(), Tree0 + 1);
+  // Errors found before any execution pick no tier.
+  EXPECT_FALSE(I.callRoutine("p1", {}).Ok);
+  EXPECT_FALSE(I.callRoutine("nosuch", {}).Ok);
+  EXPECT_EQ(VM.value(), VM0 + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// One compile per Program
+//===----------------------------------------------------------------------===//
+
+TEST(ProgramCode, InterpretersOverOneProgramShareOneCompile) {
+  auto Prog = compile(chainProgram(5, 2).Fixed);
+  unsigned Builds = 0;
+  auto Build = [&] {
+    ++Builds;
+    return bytecode::compile(*Prog, false);
+  };
+  auto First = Prog->compiledCode(false, Build);
+  ASSERT_TRUE(First != nullptr);
+  EXPECT_EQ(Prog->compiledCode(false, Build), First);
+  EXPECT_EQ(Builds, 1u);
+
+  // Interpreters pick up the cached unit instead of compiling their own.
+  InterpOptions Opts;
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter A(*Prog, Opts), B(*Prog, Opts);
+  ASSERT_TRUE(A.run().Ok);
+  ASSERT_TRUE(B.callRoutine("p1", {Value::makeInt(1), Value()}).Ok);
+  EXPECT_EQ(Prog->compiledCode(false, Build), First);
+  EXPECT_EQ(Builds, 1u);
+
+  // The checked mode is a separate slot.
+  auto Checked = Prog->compiledCode(true, [&] {
+    ++Builds;
+    return bytecode::compile(*Prog, true);
+  });
+  ASSERT_TRUE(Checked != nullptr);
+  EXPECT_NE(Checked, First);
+  EXPECT_TRUE(Checked->Checked);
+  EXPECT_EQ(Builds, 2u);
+}
+
+TEST(ProgramCode, RejectionIsCachedToo) {
+  auto Prog = compile("program p;\n"
+                      "label 9;\n"
+                      "procedure q;\n"
+                      "begin goto 9 end;\n"
+                      "begin q; 9: writeln(1) end.");
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter I(*Prog, Opts);
+  ASSERT_TRUE(I.run().Ok);
+  unsigned Builds = 0;
+  EXPECT_EQ(Prog->compiledCode(false,
+                               [&] {
+                                 ++Builds;
+                                 return bytecode::compile(*Prog, false);
+                               }),
+            nullptr);
+  EXPECT_EQ(Builds, 0u) << "the interpreter's rejected compile was cached";
+}
+
+TEST(ProgramCode, AssignStorageSlotsResetsTheSlot) {
+  auto Prog = compile(chainProgram(3, 1).Fixed);
+  unsigned Builds = 0;
+  auto Build = [&] {
+    ++Builds;
+    return bytecode::compile(*Prog, false);
+  };
+  auto Before = Prog->compiledCode(false, Build);
+  pascal::assignStorageSlots(*Prog);
+  auto After = Prog->compiledCode(false, Build);
+  EXPECT_EQ(Builds, 2u);
+  ASSERT_TRUE(Before && After);
+  EXPECT_NE(Before, After);
+}
+
+TEST(ProgramCode, ConcurrentFirstRequestsCompileOnce) {
+  auto Prog = compile(chainProgram(12, 3).Fixed);
+  std::atomic<unsigned> Builds{0};
+  std::vector<std::thread> Threads;
+  std::vector<const bytecode::CompiledProgram *> Seen(6);
+  for (size_t T = 0; T != Seen.size(); ++T)
+    Threads.emplace_back([&, T] {
+      Seen[T] = Prog->compiledCode(false, [&] {
+                      ++Builds;
+                      return bytecode::compile(*Prog, false);
+                    }).get();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Builds.load(), 1u);
+  for (const bytecode::CompiledProgram *CP : Seen)
+    EXPECT_EQ(CP, Seen[0]);
 }
 
 TEST(CellArena, RepeatedSessionsStayByteIdentical) {

@@ -144,6 +144,91 @@ TEST(OracleTest, IntendedOracleHandlesGlobalsViaPresets) {
   EXPECT_EQ(J.WrongOutput, "z");
 }
 
+/// A unit that writes a variable the intended routine leaves alone is
+/// wrong on that variable. Here the buggy q also sets g; the intended q
+/// only sets its var parameter, so its outputs have no binding for g.
+const char *ExtraWriteBuggy = "program r; var g, x: integer;"
+                              "procedure q(var y: integer);"
+                              "begin y := 1; g := 5 end;"
+                              "procedure p;"
+                              "begin q(x); writeln(x, ' ', g) end;"
+                              "begin g := 0; p end.";
+const char *ExtraWriteFixed = "program r; var g, x: integer;"
+                              "procedure q(var y: integer);"
+                              "begin y := 1 end;"
+                              "procedure p;"
+                              "begin q(x); writeln(x, ' ', g) end;"
+                              "begin g := 0; p end.";
+
+TEST(OracleTest, ExtraGlobalWriteIsJudgedWrong) {
+  auto Buggy = compile(ExtraWriteBuggy);
+  auto Fixed = compile(ExtraWriteFixed);
+  // With and without the Section 6 transformation (which turns g into an
+  // out parameter of q), the session blames q, not its caller.
+  for (bool Transform : {false, true}) {
+    DiagnosticsEngine Diags;
+    GADTOptions Opts;
+    Opts.Transform = Transform;
+    Opts.Debugger.Slicing = SliceMode::None;
+    GADTSession Session(*Buggy, Opts, Diags);
+    ASSERT_TRUE(Session.valid()) << Diags.str();
+    IntendedProgramOracle User(*Fixed);
+    BugReport R = Session.debug(User);
+    ASSERT_TRUE(R.Found) << "transform=" << Transform;
+    EXPECT_EQ(R.UnitName, "q") << "transform=" << Transform << "\n"
+                               << Session.stats().transcript();
+    EXPECT_NE(Session.stats().transcript().find(
+                  "q(Out y: 1, Out g: 5)? no, error on output g"),
+              std::string::npos)
+        << Session.stats().transcript();
+  }
+}
+
+TEST(OracleTest, UnchangedOrPassThroughOutputsAreNotExtraWrites) {
+  // q reads g and writes it back unchanged: the traced output equals the
+  // input, so it is no error although the intended q never writes g.
+  auto Same = compile("program r; var g, x: integer;"
+                      "procedure q(var y: integer);"
+                      "begin y := g; g := g end;"
+                      "begin g := 3; q(x); writeln(x) end.");
+  auto Intended = compile("program r; var g, x: integer;"
+                          "procedure q(var y: integer);"
+                          "begin y := g end;"
+                          "begin g := 3; q(x); writeln(x) end.");
+  // An out parameter introduced by the transformation is reported even on
+  // paths that never write it; when the intended routine may write the
+  // variable too, the binding is taken to be the caller's value.
+  auto Branchy = compile("program r; var g, x: integer;"
+                         "procedure q(c: integer; var y: integer);"
+                         "begin y := c; if c > 5 then g := c end;"
+                         "begin g := 3; q(1, x); writeln(x, g) end.");
+  struct {
+    Program *Subject, *Ref;
+    bool Transform;
+  } Cases[] = {{Same.get(), Intended.get(), false},
+               {Branchy.get(), Branchy.get(), true}};
+  for (const auto &C : Cases) {
+    DiagnosticsEngine Diags;
+    std::unique_ptr<Program> Xf;
+    const Program *Traced = C.Subject;
+    if (C.Transform) {
+      Xf = transform::transformProgram(*C.Subject, Diags).Transformed;
+      ASSERT_TRUE(Xf) << Diags.str();
+      Traced = Xf.get();
+    }
+    auto Tree = buildExecTree(*Traced, {}, {});
+    ExecNode *Q = nullptr;
+    Tree->forEachNode([&](ExecNode *N) {
+      if (N->getName() == "q")
+        Q = N;
+    });
+    ASSERT_TRUE(Q);
+    ASSERT_TRUE(Q->findOutput("g")) << Tree->str();
+    IntendedProgramOracle O(*C.Ref);
+    EXPECT_EQ(O.judge(*Q).A, Answer::Correct) << Tree->str();
+  }
+}
+
 TEST(OracleTest, AssertionOracleSpecificationAnswers) {
   auto Prog = compile(workload::Figure4Buggy);
   auto Tree = buildExecTree(*Prog, {}, {});

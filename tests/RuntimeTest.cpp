@@ -15,10 +15,13 @@
 #include "core/ReferenceOracle.h"
 #include "pascal/Frontend.h"
 #include "support/Hashing.h"
+#include "trace/ExecTreeBuilder.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace gadt;
 using namespace gadt::core;
@@ -345,6 +348,72 @@ TEST(RuntimeContextTest, CacheBudgetEvictsOldestEntriesGlobally) {
 //===----------------------------------------------------------------------===//
 // Fingerprints
 //===----------------------------------------------------------------------===//
+
+/// Oracles on eight threads judge over one shared intended Program: the
+/// first judgements race on the program's compile once-slot, and every
+/// thread's answers equal a serial oracle's over a private copy.
+TEST(RuntimeContextTest, ConcurrentOraclesShareOneIntendedProgram) {
+  struct Subject {
+    std::unique_ptr<Program> Buggy, Shared, Private;
+    std::unique_ptr<trace::ExecTree> Tree;
+    std::vector<const trace::ExecNode *> Calls;
+    std::string Expected;
+  };
+  ProgramPair Pairs[] = {chainProgram(12, 5),
+                         {Figure4Fixed, Figure4Buggy, "decrement"}};
+  auto Render = [](IntendedProgramOracle &O,
+                   const std::vector<const trace::ExecNode *> &Calls) {
+    std::string Out;
+    for (const trace::ExecNode *N : Calls) {
+      Judgement J = O.judge(*N);
+      Out += N->getName() + ":" + std::to_string(static_cast<int>(J.A)) +
+             ":" + J.WrongOutput + "\n";
+    }
+    return Out;
+  };
+  std::vector<Subject> Subjects;
+  for (const ProgramPair &P : Pairs) {
+    Subject S;
+    S.Buggy = compile(P.Buggy);
+    // Two parses of the intended text: the serial reference judges over
+    // its own, so the shared one's compile is still cold when the
+    // threads start.
+    S.Shared = compile(P.Fixed);
+    S.Private = compile(P.Fixed);
+    ASSERT_TRUE(S.Buggy && S.Shared && S.Private);
+    S.Tree = trace::buildExecTree(*S.Buggy, {}, {});
+    S.Tree->forEachNode([&](trace::ExecNode *N) {
+      if (N->getKind() == interp::UnitKind::Call)
+        S.Calls.push_back(N);
+    });
+    IntendedProgramOracle Serial(*S.Private);
+    S.Expected = Render(Serial, S.Calls);
+    ASSERT_NE(S.Expected.find(":1:"), std::string::npos)
+        << "some unit must be judged incorrect:\n" << S.Expected;
+    Subjects.push_back(std::move(S));
+  }
+
+  // Eight threads, each judging both subjects three times over with one
+  // oracle per subject.
+  std::vector<std::string> Got(8 * 2);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 8; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned K = 0; K != 2; ++K) {
+        const Subject &S = Subjects[(T + K) % 2];
+        IntendedProgramOracle O(*S.Shared);
+        for (int Round = 0; Round != 3; ++Round)
+          Got[T * 2 + K] += Render(O, S.Calls);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (unsigned T = 0; T != 8; ++T)
+    for (unsigned K = 0; K != 2; ++K) {
+      const std::string &E = Subjects[(T + K) % 2].Expected;
+      EXPECT_EQ(Got[T * 2 + K], E + E + E) << "thread " << T;
+    }
+}
 
 TEST(HashingTest, ProgramFingerprintIsStableAndDiscriminating) {
   auto P1 = compile(Figure4Buggy);
