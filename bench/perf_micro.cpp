@@ -286,35 +286,67 @@ void BM_BatchThroughputSerial(benchmark::State &State) {
 }
 BENCHMARK(BM_BatchThroughputSerial);
 
-/// One judgement of a warm IntendedProgramOracle (explains the session
-/// benchmark's `core.oracle_call_us`): the buggy program's \p Unit call is
-/// re-run in the fixed program and its outputs compared. chain47 judges
-/// p1, whose call runs the whole 47-deep chain; wide46 judges p, which
-/// makes 46 leaf calls. The oracle, its interpreter and the fixed
-/// program's compile stay warm across iterations, as they do within a
-/// session.
-void BM_OracleJudge(benchmark::State &State, workload::ProgramPair Pair,
-                    const char *Unit) {
-  auto Buggy = compileOrDie(Pair.Buggy);
-  auto Fixed = compileOrDie(Pair.Fixed);
-  auto Tree = trace::buildExecTree(*Buggy, {}, {});
+/// The node of \p Tree named \p Unit (aborts when there is none).
+const trace::ExecNode *nodeNamed(const trace::ExecTree &Tree,
+                                 const char *Unit) {
   const trace::ExecNode *Node = nullptr;
-  Tree->forEachNode([&](trace::ExecNode *N) {
+  Tree.forEachNode([&](trace::ExecNode *N) {
     if (!Node && N->getName() == Unit)
       Node = N;
   });
   if (!Node)
     std::abort();
-  core::IntendedProgramOracle Oracle(*Fixed);
+  return Node;
+}
+
+/// One IntendedProgramOracle judgement that misses the call memo (explains
+/// the session benchmark's `core.oracle_call_us`): the buggy program's
+/// \p Unit call is re-run in the fixed program and its outputs compared.
+/// chain47 judges p1, whose call runs the whole 47-deep chain; wide46
+/// judges p, which makes 46 leaf calls. Each iteration judges on a fresh
+/// oracle, built and destroyed outside the timed region, so the memo is
+/// empty; the fixed program's compile stays shared, as across sessions,
+/// while the interpreter's VM stacks grow from empty, as in a session's
+/// first judgement.
+void BM_OracleJudge(benchmark::State &State, workload::ProgramPair Pair,
+                    const char *Unit) {
+  auto Buggy = compileOrDie(Pair.Buggy);
+  auto Fixed = compileOrDie(Pair.Fixed);
+  auto Tree = trace::buildExecTree(*Buggy, {}, {});
+  const trace::ExecNode *Node = nodeNamed(*Tree, Unit);
   for (auto _ : State) {
-    core::Judgement J = Oracle.judge(*Node);
+    State.PauseTiming();
+    auto Oracle = std::make_unique<core::IntendedProgramOracle>(*Fixed);
+    State.ResumeTiming();
+    core::Judgement J = Oracle->judge(*Node);
     benchmark::DoNotOptimize(J.A);
+    State.PauseTiming();
+    Oracle.reset();
+    State.ResumeTiming();
   }
 }
 BENCHMARK_CAPTURE(BM_OracleJudge, chain47, workload::chainProgram(47, 47),
                   "p1");
 BENCHMARK_CAPTURE(BM_OracleJudge, wide46,
                   workload::wideIrrelevantProgram(46), "p");
+
+/// The memo's hit path: a warm oracle that judged p1 once (recording every
+/// call below it) judges p2, which callRoutine answers without running.
+void BM_OracleMemoHit(benchmark::State &State, workload::ProgramPair Pair,
+                      const char *First, const char *Unit) {
+  auto Buggy = compileOrDie(Pair.Buggy);
+  auto Fixed = compileOrDie(Pair.Fixed);
+  auto Tree = trace::buildExecTree(*Buggy, {}, {});
+  const trace::ExecNode *Node = nodeNamed(*Tree, Unit);
+  core::IntendedProgramOracle Oracle(*Fixed);
+  Oracle.judge(*nodeNamed(*Tree, First));
+  for (auto _ : State) {
+    core::Judgement J = Oracle.judge(*Node);
+    benchmark::DoNotOptimize(J.A);
+  }
+}
+BENCHMARK_CAPTURE(BM_OracleMemoHit, chain47, workload::chainProgram(47, 47),
+                  "p1", "p2");
 
 //===--------------------------------------------------------------------===//
 // Dispatch and background-compile benchmarks (X14): the threaded-dispatch

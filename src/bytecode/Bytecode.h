@@ -230,6 +230,13 @@ struct CompiledRoutine {
   const pascal::RoutineDecl *Routine = nullptr;
   std::vector<Instr> Code;
   uint32_t NumRegs = 0;
+  /// Set at link time when every run of the routine is a function of its
+  /// parameters' entry values alone: neither it nor anything it calls
+  /// (transitively, recursion included) reaches a cell outside the
+  /// routine's own activation except through its parameters, and none of
+  /// it reads input or writes output. Such calls are what the
+  /// interpreter's call memo records and serves (interp/ExecState.h).
+  bool SelfContained = false;
 };
 
 /// The side-table rows one routine's code owns. Every table is emitted

@@ -30,6 +30,7 @@
 #include "pascal/ASTMatch.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string_view>
@@ -54,6 +55,137 @@ size_t CompiledProgram::memoryBytes() const {
 }
 
 namespace {
+
+/// Bits of operandFields(): which instruction fields hold fused operands.
+constexpr unsigned FieldA = 1, FieldB = 2, FieldC = 4;
+constexpr unsigned UnknownOp = ~0u;
+
+/// The fields of an \p K instruction that hold fused operands (register,
+/// cell or constant). Other fields are destination registers, raw
+/// register bases, comparison kinds or nothing. UnknownOp for an opcode
+/// this table does not cover.
+unsigned operandFields(Op K) {
+  switch (K) {
+  case Op::Load:
+  case Op::LoadChecked:
+  case Op::NotB:
+  case Op::NegI:
+  case Op::StepLoad:
+    return FieldB;
+  case Op::Store:
+  case Op::ForPrep:
+    return FieldA | FieldB;
+  case Op::StoreIdx:
+  case Op::BinStore:
+    return FieldA | FieldB | FieldC;
+  case Op::LoadIdx:
+  case Op::Add:
+  case Op::Sub:
+  case Op::Mul:
+  case Op::DivOp:
+  case Op::ModOp:
+  case Op::EqI:
+  case Op::NeI:
+  case Op::EqB:
+  case Op::NeB:
+  case Op::Lt:
+  case Op::Le:
+  case Op::Gt:
+  case Op::Ge:
+  case Op::AndB:
+  case Op::OrB:
+  case Op::CmpBr:    // A = comparison kind
+  case Op::CmpWhile:
+  case Op::LoadBin:
+    return FieldB | FieldC;
+  case Op::IfBr:
+  case Op::WhileTest:
+  case Op::RepeatTest:
+  case Op::WriteVal:
+    return FieldA;
+  case Op::Step:
+  case Op::CallGuard:
+  case Op::ReadFetch:
+  case Op::LoopEnter:
+  case Op::IterBegin:
+  case Op::ForIter:
+  case Op::LoopExit:
+  case Op::ForExit:
+  case Op::Call:
+  case Op::ArrayLit: // B/C are a raw register base and count
+  case Op::Jmp:
+  case Op::PopCtrl:
+  case Op::IterEnd:
+  case Op::ForTest:
+  case Op::ForEnd:
+  case Op::Ret:
+  case Op::WriteNl:
+  case Op::Nop:
+    return 0;
+  }
+  return UnknownOp;
+}
+
+/// Link step: sets CompiledRoutine::SelfContained. A cell operand with h
+/// static-link hops in a routine at storage depth d reaches the activation
+/// at depth d - h; a routine is self-contained when the shallowest depth
+/// its code or any callee's reaches is its own. Reaching a routine's own
+/// depth from a nested routine means the routine's current activation
+/// (nested routines are only callable from inside it), so up-level
+/// references into a routine's own locals keep it self-contained. I/O
+/// counts as reaching depth -1. Callee depths propagate to a fixpoint,
+/// which handles recursion. Runs on every link, so routines an
+/// incremental recompile replays are re-flagged against their new callees.
+void markSelfContained(CompiledProgram &CP) {
+  size_t N = CP.Routines.size();
+  std::vector<int64_t> Reach(N);
+  for (size_t I = 0; I != N; ++I) {
+    const CompiledRoutine &CR = CP.Routines[I];
+    const RoutineSegment &Seg = CP.Segments[I];
+    int64_t Depth = CR.Routine->getStorageDepth();
+    int64_t R = Depth;
+    auto NoteOperand = [&](uint16_t F) {
+      if ((F & OpModeMask) == OpCell)
+        R = std::min(R, Depth - ((F >> CellHopsShift) & MaxCellHops));
+    };
+    for (const Instr &In : CR.Code) {
+      if (In.Code == Op::ReadFetch || In.Code == Op::WriteVal ||
+          In.Code == Op::WriteNl)
+        R = -1;
+      unsigned Fields = operandFields(In.Code);
+      if (Fields & FieldA)
+        NoteOperand(In.A);
+      if (Fields & FieldB)
+        NoteOperand(In.B);
+      if (Fields & FieldC)
+        NoteOperand(In.C);
+    }
+    for (uint32_t A = Seg.ArgStart; A != Seg.ArgStart + Seg.ArgCount; ++A)
+      if (CP.ArgPool[A].IsRef)
+        NoteOperand(CP.ArgPool[A].Operand);
+    for (uint32_t L = Seg.LoopStart; L != Seg.LoopStart + Seg.LoopCount; ++L)
+      if (CP.Loops[L].K == LoopInfo::Kind::For)
+        NoteOperand(CP.Loops[L].VarOperand);
+    Reach[I] = R;
+  }
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t I = 0; I != N; ++I) {
+      const RoutineSegment &Seg = CP.Segments[I];
+      for (uint32_t S = Seg.SiteStart; S != Seg.SiteStart + Seg.SiteCount;
+           ++S) {
+        int64_t Callee = Reach[CP.Sites[S].RoutineIdx];
+        if (Callee < Reach[I]) {
+          Reach[I] = Callee;
+          Changed = true;
+        }
+      }
+    }
+  }
+  for (size_t I = 0; I != N; ++I)
+    CP.Routines[I].SelfContained =
+        Reach[I] >= CP.Routines[I].Routine->getStorageDepth();
+}
 
 /// A compile-time operand: the encoded 16-bit field plus whether producing
 /// it emitted instructions (register results do; fused cells/consts don't).
@@ -110,6 +242,7 @@ public:
         *WhyNot = Why;
       return nullptr;
     }
+    markSelfContained(*CP);
     // A unit lives as long as its program; return the append-only side
     // tables' growth slack (about a third of a small program's unit).
     CP->Routines.shrink_to_fit();
@@ -847,93 +980,34 @@ private:
     case Op::Step:
     case Op::CallGuard:
     case Op::ReadFetch:
-      ShiftAux(DbgD);
-      return true;
-    case Op::Load:
-    case Op::NotB:
-    case Op::NegI:
-      return shiftConstOperand(In.B, ConstD);
     case Op::LoadChecked:
-      ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD);
-    case Op::Store:
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD);
     case Op::LoadIdx:
-      ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
     case Op::StoreIdx:
-      ShiftAux(DbgD);
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
     case Op::DivOp:
     case Op::ModOp:
+    case Op::StepLoad:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
-    case Op::Add:
-    case Op::Sub:
-    case Op::Mul:
-    case Op::EqI:
-    case Op::NeI:
-    case Op::EqB:
-    case Op::NeB:
-    case Op::Lt:
-    case Op::Le:
-    case Op::Gt:
-    case Op::Ge:
-    case Op::AndB:
-    case Op::OrB:
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
-    case Op::IfBr:
-    case Op::WhileTest:
-    case Op::RepeatTest:
-      return shiftConstOperand(In.A, ConstD); // Aux = routine-local pc
-    case Op::WriteVal:
-      return shiftConstOperand(In.A, ConstD);
+      break;
     case Op::LoopEnter:
     case Op::IterBegin:
     case Op::ForIter:
     case Op::LoopExit:
     case Op::ForExit:
-      ShiftAux(LoopD);
-      return true;
     case Op::ForPrep:
       ShiftAux(LoopD);
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD);
+      break;
     case Op::Call:
       ShiftAux(SiteD);
-      return true;
-    case Op::ArrayLit: // B/C are a raw register base and count
-    case Op::Jmp:
-    case Op::PopCtrl:
-    case Op::IterEnd:
-    case Op::ForTest:
-    case Op::ForEnd:
-    case Op::Ret:
-    case Op::WriteNl:
-    case Op::Nop:
-      return true;
-    case Op::CmpBr:    // A = cmp kind, Aux = routine-local pc
-    case Op::CmpWhile:
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
-    case Op::BinStore: // Aux = binop kind
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
-    case Op::StepLoad:
-      ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD);
-    case Op::LoadBin: // Aux = binop kind | operand-side flag
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      break;
+    default: // Aux is a routine-local pc, a binop kind, or unused
+      break;
     }
-    return false;
+    unsigned Fields = operandFields(In.Code);
+    if (Fields == UnknownOp)
+      return false;
+    return (!(Fields & FieldA) || shiftConstOperand(In.A, ConstD)) &&
+           (!(Fields & FieldB) || shiftConstOperand(In.B, ConstD)) &&
+           (!(Fields & FieldC) || shiftConstOperand(In.C, ConstD));
   }
 
   /// Splices old routine \p I into the new program: instructions copied

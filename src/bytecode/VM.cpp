@@ -442,8 +442,9 @@ void bytecode::callRoutine(ExecState &S, const CompiledProgram &CP,
     return;
   }
   // The frame stack may grow during dispatch; keep the node id locally.
-  uint32_t NodeId = S.beginCallUnit(Act, Callee, nullptr, nullptr,
-                                    Callee->getLoc(), Watermark);
+  uint32_t NodeId =
+      S.beginCallUnit(Act, Callee, nullptr, nullptr, Callee->getLoc(),
+                      Watermark, CP.Routines[Idx].SelfContained);
   enterBaseFrame(CP, VS, Idx, Act, NodeId);
   ++S.CallDepth;
   dispatch(S, CP, VS);

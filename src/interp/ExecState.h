@@ -25,6 +25,7 @@
 #ifndef GADT_INTERP_EXECSTATE_H
 #define GADT_INTERP_EXECSTATE_H
 
+#include "interp/CallMemo.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "support/Casting.h"
@@ -79,6 +80,9 @@ struct Activation {
   }
 };
 
+/// UnitFrame::MemoKey of a call the call memo is not recording.
+constexpr uint32_t NoMemoKey = UINT32_MAX;
+
 /// Dynamic input/output observation for one executing unit.
 struct UnitFrame {
   uint32_t NodeId = 0;
@@ -88,6 +92,9 @@ struct UnitFrame {
   /// Monotonic push id; cell stamps reference it.
   uint64_t FrameId = 0;
   Activation *Act = nullptr;
+  /// Calls only: where the call memo's pending words hold this call's key
+  /// (NoMemoKey = not recording it).
+  uint32_t MemoKey = NoMemoKey;
   std::vector<std::pair<CellRef, Value>> FirstReads;
   std::vector<CellRef> Writes;
 };
@@ -120,6 +127,14 @@ struct ExecState {
   /// unit otherwise, the pool is visible on every TrackDeps profile.
   std::vector<UnitFrame> Frames;
   size_t FrameTop = 0;
+  /// Outcomes of self-contained calls (see CallMemo.h). Kept across runs;
+  /// recording is switched on per Interpreter::callRoutine on the bytecode
+  /// tier with no listener and no dependence tracking, so run() never
+  /// records. The counts are flushed by flushPoolStats.
+  CallMemo Memo;
+  bool MemoRecording = false;
+  uint64_t MemoRecorded = 0;
+  uint64_t MemoServed = 0;
 
   ExecState(const pascal::Program &Prog, InterpOptions Opts)
       : Prog(Prog), Opts(Opts) {}
@@ -142,6 +157,8 @@ struct ExecState {
       F.Writes.clear();
     }
     FrameTop = 0;
+    MemoRecording = false;
+    Memo.truncatePending(0);
   }
 
   /// Pushes a (recycled) unit frame. The caller must assign every header
@@ -155,15 +172,27 @@ struct ExecState {
     return F;
   }
 
-  /// Publishes per-run pool statistics; called at the end of each entry
-  /// point so hot paths pay plain increments, not atomics.
+  /// Publishes per-run pool and call-memo statistics; called at the end of
+  /// each entry point so hot paths pay plain increments, not atomics.
   void flushPoolStats() {
-    if (PooledReuses == 0)
-      return;
-    static obs::Counter &Pooled =
-        obs::Registry::global().counter("interp.cells.pooled");
-    Pooled.add(PooledReuses);
-    PooledReuses = 0;
+    if (PooledReuses) {
+      static obs::Counter &Pooled =
+          obs::Registry::global().counter("interp.cells.pooled");
+      Pooled.add(PooledReuses);
+      PooledReuses = 0;
+    }
+    if (MemoRecorded) {
+      static obs::Counter &Recorded =
+          obs::Registry::global().counter("interp.call_memo.recorded");
+      Recorded.add(MemoRecorded);
+      MemoRecorded = 0;
+    }
+    if (MemoServed) {
+      static obs::Counter &Served =
+          obs::Registry::global().counter("interp.call_memo.served");
+      Served.add(MemoServed);
+      MemoServed = 0;
+    }
   }
 
   void fail(SourceLoc Loc, std::string Msg) {
@@ -370,11 +399,13 @@ struct ExecState {
 
   /// Raises the enter event for a routine-call unit and pushes its
   /// observation frame. Returns the unit's node id; finishCallUnit closes
-  /// the unit after the body executed.
+  /// the unit after the body executed. \p Act must have its parameters
+  /// bound: when the memo is recording and \p SelfContained is set, their
+  /// values now are the call's key.
   uint32_t beginCallUnit(Activation &Act, const pascal::RoutineDecl *Callee,
                          const pascal::Stmt *CallStmt,
                          const pascal::Expr *CallExpr, SourceLoc Loc,
-                         uint64_t Watermark) {
+                         uint64_t Watermark, bool SelfContained = false) {
     uint32_t NodeId = ++NodeCounter;
     if (Listener) {
       UnitStart Start;
@@ -393,7 +424,54 @@ struct ExecState {
     F.Watermark = Watermark;
     F.FrameId = ++FrameCounter;
     F.Act = &Act;
+    F.MemoKey = MemoRecording && SelfContained ? openMemoRecord(Act, Callee)
+                                               : NoMemoKey;
     return NodeId;
+  }
+
+  /// Pushes the key of a call of self-contained \p Callee — every
+  /// parameter's entry value — onto the memo's pending words and returns
+  /// where it starts. NoMemoKey when the call is not recorded: var
+  /// arguments naming one cell twice (`p(t, t)` runs differently from a
+  /// direct call, which binds distinct cells), or a value the memo does
+  /// not store.
+  uint32_t openMemoRecord(const Activation &Act,
+                          const pascal::RoutineDecl *Callee) {
+    size_t Start = Memo.pendingSize();
+    const auto &Params = Callee->getParams();
+    for (size_t I = 0, N = Params.size(); I != N; ++I) {
+      CellRef C = Act.Slots[Params[I]->getSlot()];
+      bool Ok = Memo.pushPending(Arena[C].V);
+      if (Params[I]->isReference())
+        for (size_t J = 0; J != I && Ok; ++J)
+          Ok = !Params[J]->isReference() ||
+               Act.Slots[Params[J]->getSlot()] != C;
+      if (!Ok) {
+        Memo.truncatePending(Start);
+        return NoMemoKey;
+      }
+    }
+    return static_cast<uint32_t>(Start);
+  }
+
+  /// Closes the record opened at \p Key once the call finished all its
+  /// checks: unless the run failed, commits the reference parameters'
+  /// final values in declaration order, then the function result.
+  void closeMemoRecord(uint32_t Key, const Activation &Act,
+                       const pascal::RoutineDecl *Callee,
+                       const Value *Result) {
+    if (!Failed && (Result || !Callee->isFunction())) {
+      size_t OutStart = Memo.pendingSize();
+      bool Ok = true;
+      for (const auto &P : Callee->getParams())
+        if (P->isReference() && Ok)
+          Ok = Memo.pushPending(Arena[Act.Slots[P->getSlot()]].V);
+      if (Ok && Callee->isFunction())
+        Ok = Memo.pushPending(*Result);
+      if (Ok && Memo.commit(Callee, Key, OutStart))
+        ++MemoRecorded;
+    }
+    Memo.truncatePending(Key);
   }
 
   /// Pops the unit frame pushed by beginCallUnit, assembles the dynamic
@@ -412,6 +490,7 @@ struct ExecState {
     // Pop by decrement; the slot stays valid (nothing below pushes a unit
     // frame before this function returns) and its buffers get recycled.
     UnitFrame &Frame = Frames[--FrameTop];
+    uint32_t MemoKey = Frame.MemoKey;
 
     bool WantOut = Listener || OutputsOut;
 
@@ -487,6 +566,10 @@ struct ExecState {
     }
     if (OutputsOut)
       *OutputsOut = std::move(Outputs);
+    // Last, so the record sees every check above (checked mode's
+    // unassigned result included).
+    if (MemoKey != NoMemoKey)
+      closeMemoRecord(MemoKey, Act, Callee, Result);
   }
 
   //===--------------------------------------------------------------------===//
@@ -692,20 +775,73 @@ struct ExecState {
     Out.Error = Error;
     Out.Output = Output;
     Out.Outputs = std::move(Outputs);
-    for (const auto &Param : Callee->getParams()) {
-      if (!Param->isReference())
-        continue;
-      bool Present = false;
-      for (const Binding &B : Out.Outputs)
-        if (B.Name == Param->getName())
-          Present = true;
-      if (!Present)
+    for (const auto &Param : Callee->getParams())
+      if (Param->isReference() && !hasBinding(Out.Outputs, Param.get()))
         Out.Outputs.push_back(
             {Param->getName(),
              Arena[EntryCallee.Slots[Param->getSlot()]].V});
-    }
     flushPoolStats();
     return Out;
+  }
+
+  static bool hasBinding(const std::vector<Binding> &Bs,
+                         const pascal::VarDecl *Param) {
+    for (const Binding &B : Bs)
+      if (B.Name == Param->getName())
+        return true;
+    return false;
+  }
+
+  /// Answers a direct call of \p Callee with \p Args from the memo,
+  /// touching no run state. \p Out is built as finishCallUnit and
+  /// finishRoutineEntry build a direct call's outcome: a direct call's
+  /// parameter cells are local to its unit, so finishCallUnit reports the
+  /// `out` parameters (declaration order) and the function result, and
+  /// finishRoutineEntry appends the remaining var parameters. A
+  /// self-contained routine writes nothing else and prints nothing.
+  /// Returns false (nothing served) on a miss, with a listener attached or
+  /// dependence tracking on.
+  bool serveFromMemo(const pascal::RoutineDecl *Callee,
+                     const std::vector<Value> &Args, CallOutcome &Out) {
+    if (Memo.empty() || Listener || Opts.TrackDeps)
+      return false;
+    const auto &Params = Callee->getParams();
+    Memo.truncatePending(0);
+    for (size_t I = 0, N = Params.size(); I != N; ++I)
+      if (!Memo.pushPending(Args[I].isUnset()
+                                ? defaultValue(Params[I]->getType())
+                                : Args[I]))
+        return false;
+    const uint64_t *Recorded = Memo.find(Callee, 0);
+    Memo.truncatePending(0);
+    if (!Recorded)
+      return false;
+    // Recorded: reference parameters' final values, then the result.
+    Out.Outputs.reserve(Params.size() + 1);
+    const uint64_t *W = Recorded;
+    for (const auto &P : Params) {
+      if (!P->isReference())
+        continue;
+      if (P->getMode() == pascal::ParamMode::Out)
+        Out.Outputs.push_back({P->getName(), CallMemo::decode(W)});
+      else
+        CallMemo::skip(W);
+    }
+    if (Callee->isFunction())
+      Out.Outputs.push_back({Callee->getName(), CallMemo::decode(W)});
+    W = Recorded;
+    for (const auto &P : Params) {
+      if (!P->isReference())
+        continue;
+      if (!hasBinding(Out.Outputs, P.get()))
+        Out.Outputs.push_back({P->getName(), CallMemo::decode(W)});
+      else
+        CallMemo::skip(W);
+    }
+    Out.Ok = true;
+    ++MemoServed;
+    flushPoolStats();
+    return true;
   }
 };
 

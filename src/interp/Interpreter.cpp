@@ -781,14 +781,23 @@ struct Interpreter::Impl : ExecState {
 
   CallOutcome callRoutine(const RoutineDecl *Callee, std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets) {
-    resetRun();
     if (Args.size() != Callee->getParams().size()) {
+      resetRun();
       CallOutcome Out;
       Out.Error = {SourceLoc(), "argument count mismatch calling '" +
                                     Callee->getName() + "'"};
       return Out;
     }
+    // A self-contained routine ignores the presets, so the memo key is
+    // the arguments alone.
+    CallOutcome Served;
+    if (serveFromMemo(Callee, Args, Served))
+      return Served;
+    resetRun();
     const bytecode::CompiledProgram *CP = selectTier();
+    MemoRecording = CP && !Listener && !Opts.TrackDeps;
+    if (MemoRecording)
+      Memo.prepare();
     std::vector<Binding> EntryInputs, Outputs;
     uint64_t Watermark =
         setUpRoutineEntry(Callee, Args, GlobalPresets, EntryInputs);

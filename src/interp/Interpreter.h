@@ -192,6 +192,17 @@ public:
   /// The executor is picked as for run(): the bytecode tier unless the
   /// options or `GADT_EXEC_TIER` ask for the tree walker or the compiler
   /// rejects the program. Both produce the same outcome.
+  ///
+  /// Call memo: on the bytecode tier, with no listener and dependence
+  /// tracking off, each call of a self-contained routine (one whose runs
+  /// depend on its parameters alone; bytecode::CompiledRoutine::
+  /// SelfContained) that completes without failure inside a callRoutine
+  /// is recorded, keyed by the routine and its parameters' entry values.
+  /// A later callRoutine with a recorded key returns the recorded outcome,
+  /// identical to a fresh run's, and executes nothing: it raises no unit
+  /// event and bumps no `interp.tier.*` counter, only
+  /// `interp.call_memo.served` (recording bumps
+  /// `interp.call_memo.recorded`). run() never records.
   CallOutcome callRoutine(const std::string &Name, std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets = {});
   /// As above, for a routine of this interpreter's program that the caller

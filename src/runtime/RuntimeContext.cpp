@@ -5,7 +5,6 @@
 #include "bytecode/Bytecode.h"
 #include "obs/Trace.h"
 #include "pascal/Frontend.h"
-#include "pascal/PrettyPrinter.h"
 #include "runtime/CompileLane.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
@@ -201,9 +200,15 @@ RuntimeContext::prepare(const std::string &Source,
         &WasMiss);
     noteLookup(TransformC, Span, WasMiss);
     if (WasMiss) {
+      // The transformed program is sized like its source plus one log
+      // line per rewrite (each rewrite adds about that much text); an
+      // estimate, so a cache miss does not print the whole program.
       uint64_t NewBytes = sizeof(TransformEntry) + X->Errors.size();
-      if (X->Transformed)
-        NewBytes += pascal::printProgram(*X->Transformed).size();
+      if (X->Transformed) {
+        NewBytes += Source.size();
+        for (const std::string &Line : X->Stats.Log)
+          NewBytes += Line.size();
+      }
       Transforms.noteBytes(Fingerprint, NewBytes);
       enforceBudget();
       publishOccupancy();

@@ -14,14 +14,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/CallGraph.h"
+#include "analysis/SideEffects.h"
 #include "bytecode/Bytecode.h"
 #include "bytecode/Passes.h"
 #include "bytecode/VM.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "pascal/Frontend.h"
+#include "pascal/PrettyPrinter.h"
 #include "slicing/DynamicSlicer.h"
 #include "trace/ExecTreeBuilder.h"
+#include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
 
@@ -30,6 +34,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -762,8 +767,22 @@ TEST(BackgroundCompile, RacingPublishKeepsTranscriptsIdentical) {
 // Routine entry: callRoutine on both tiers
 //===----------------------------------------------------------------------===//
 
-/// Renders everything a CallOutcome carries, plus the unit events raised
-/// on the way (the listener sees the callee as the root unit).
+/// Renders everything a CallOutcome carries: Ok, the error, the outputs
+/// in order with their values, and the output text.
+std::string renderOutcome(const CallOutcome &C) {
+  std::ostringstream Out;
+  Out << "ok: " << C.Ok << "\n";
+  if (!C.Ok)
+    Out << "error: " << C.Error.Loc.Line << ":" << C.Error.Loc.Column << " "
+        << escapeLine(C.Error.Message) << "\n";
+  for (const Binding &B : C.Outputs)
+    Out << "out " << B.Name << " = " << B.V.str() << "\n";
+  Out << "output: " << escapeLine(C.Output) << "\n";
+  return Out.str();
+}
+
+/// Renders a fresh interpreter's outcome of the call, plus the unit events
+/// raised on the way (the listener sees the callee as the root unit).
 std::string renderCall(const pascal::Program &Prog, InterpOptions Opts,
                        const pascal::RoutineDecl *R,
                        const std::vector<Value> &Args,
@@ -774,14 +793,7 @@ std::string renderCall(const pascal::Program &Prog, InterpOptions Opts,
     trace::ExecTreeBuilder Builder;
     if (Listen)
       I.setListener(&Builder);
-    CallOutcome C = I.callRoutine(R, Args, Presets);
-    Out << "ok: " << C.Ok << "\n";
-    if (!C.Ok)
-      Out << "error: " << C.Error.Loc.Line << ":" << C.Error.Loc.Column
-          << " " << escapeLine(C.Error.Message) << "\n";
-    for (const Binding &B : C.Outputs)
-      Out << "out " << B.Name << " = " << B.V.str() << "\n";
-    Out << "output: " << escapeLine(C.Output) << "\n";
+    Out << renderOutcome(I.callRoutine(R, Args, Presets));
     if (Listen) {
       auto Tree = Builder.takeTree();
       Out << "tree:\n"
@@ -791,22 +803,21 @@ std::string renderCall(const pascal::Program &Prog, InterpOptions Opts,
   return Out.str();
 }
 
-/// Calls every routine of \p Prog directly on both tiers and requires
-/// identical outcomes. Inputs come from the program's own trace, assembled
-/// as IntendedProgramOracle does: parameters by name, every other input
-/// as a global preset. Routines the trace never reaches are called with
-/// default arguments. Returns how many calls the bytecode tier served.
-unsigned expectCallTiersAgree(const pascal::Program &Prog,
-                              const std::string &Label) {
+struct CallCase {
+  const pascal::RoutineDecl *R;
+  std::vector<Value> Args;
+  std::vector<Binding> Presets;
+};
+
+/// A direct call of every call node of \p Prog's own trace, in preorder,
+/// with inputs assembled as IntendedProgramOracle does: parameters by
+/// name, every other input as a global preset. Routines the trace never
+/// reaches follow, called with default arguments.
+std::vector<CallCase> judgedCalls(const pascal::Program &Prog) {
   std::vector<const pascal::RoutineDecl *> Routines;
   pascal::forEachRoutine(Prog.getMain(), [&](pascal::RoutineDecl *R) {
     Routines.push_back(R);
   });
-  struct CallCase {
-    const pascal::RoutineDecl *R;
-    std::vector<Value> Args;
-    std::vector<Binding> Presets;
-  };
   std::vector<CallCase> Cases;
   InterpOptions TraceOpts;
   TraceOpts.Tier = ExecTier::Tree;
@@ -836,7 +847,15 @@ unsigned expectCallTiersAgree(const pascal::Program &Prog,
       Cases.push_back({Routines[I],
                        std::vector<Value>(Routines[I]->getParams().size()),
                        {}});
+  return Cases;
+}
 
+/// Calls every routine of \p Prog directly on both tiers (judgedCalls)
+/// and requires identical outcomes. Returns how many calls the bytecode
+/// tier ran.
+unsigned expectCallTiersAgree(const pascal::Program &Prog,
+                              const std::string &Label) {
+  std::vector<CallCase> Cases = judgedCalls(Prog);
   obs::Counter &VMCalls =
       obs::Registry::global().counter("interp.tier.bytecode");
   uint64_t Before = VMCalls.value();
@@ -981,6 +1000,402 @@ TEST(BytecodeRoutineEntry, CountsTiersLikeRun) {
   EXPECT_FALSE(I.callRoutine("p1", {}).Ok);
   EXPECT_FALSE(I.callRoutine("nosuch", {}).Ok);
   EXPECT_EQ(VM.value(), VM0 + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Call memo: callRoutine answers self-contained calls from earlier runs
+//===----------------------------------------------------------------------===//
+
+/// The memo's counters, read together.
+struct MemoCounts {
+  uint64_t Recorded, Served;
+  bool operator==(const MemoCounts &O) const {
+    return Recorded == O.Recorded && Served == O.Served;
+  }
+};
+MemoCounts memoCounts() {
+  obs::Registry &Reg = obs::Registry::global();
+  return {Reg.counter("interp.call_memo.recorded").value(),
+          Reg.counter("interp.call_memo.served").value()};
+}
+
+/// The programs the memo tests sweep: the paper programs, every file in
+/// samples/ (the goldens' programs and the payroll variants) and the
+/// chain, tree, wide and mesh shapes.
+std::vector<std::pair<std::string, std::string>> memoCorpus() {
+  std::vector<std::pair<std::string, std::string>> Corpus = {
+      {"figure4_buggy", Figure4Buggy}, {"figure4_fixed", Figure4Fixed},
+      {"figure2", Figure2},            {"section6", Section6Globals},
+      {"arrsum", ArrsumProgram}};
+  for (const ProgramPair &P :
+       {chainProgram(9, 4), treeProgram(3), wideIrrelevantProgram(6),
+        summaryMeshProgram(3, 2)}) {
+    Corpus.push_back({"synthetic", P.Buggy});
+    Corpus.push_back({"synthetic", P.Fixed});
+  }
+  namespace fs = std::filesystem;
+  for (const auto &Entry : fs::directory_iterator(GADT_SAMPLES_DIR)) {
+    if (Entry.path().extension() != ".pas")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    Corpus.push_back({Entry.path().filename().string(), Src.str()});
+  }
+  return Corpus;
+}
+
+std::vector<std::pair<std::string, std::string>> randomMemoCorpus() {
+  std::vector<std::pair<std::string, std::string>> Corpus;
+  for (uint32_t Seed = 1; Seed <= 16; ++Seed) {
+    SyntheticOptions Opts;
+    Opts.Seed = Seed * 31 + 7;
+    Opts.NumRoutines = 3 + Seed % 5;
+    Opts.NumGlobals = 1 + Seed % 4;
+    Opts.UseGotos = Seed % 4 == 0; // raw program: tree walker, no memo
+    ProgramPair P = randomProgram(Opts);
+    std::string Label = "seed" + std::to_string(Seed);
+    for (const std::string *Src : {&P.Buggy, &P.Fixed}) {
+      Corpus.push_back({Label, *Src});
+      // Section 6 turns the generator's global side effects into
+      // parameters, which makes routines self-contained.
+      auto Prog = compile(*Src);
+      DiagnosticsEngine Diags;
+      auto T = transform::transformProgram(*Prog, Diags);
+      EXPECT_TRUE(T.Transformed) << Diags.str();
+      if (T.Transformed)
+        Corpus.push_back(
+            {Label + "-transformed", pascal::printProgram(*T.Transformed)});
+    }
+  }
+  return Corpus;
+}
+
+/// Judges every call of \p Prog's trace (judgedCalls, parents before
+/// children) on one warm bytecode interpreter per checking mode, and
+/// requires each outcome — served from the memo or not — to equal a fresh
+/// tree-walker interpreter's. Returns how many calls the memo served.
+uint64_t expectMemoMatchesFresh(const pascal::Program &Prog,
+                                const std::string &Label) {
+  std::vector<CallCase> Cases = judgedCalls(Prog);
+  uint64_t Served = 0;
+  for (bool Checked : {false, true}) {
+    InterpOptions Opts;
+    Opts.DetectUninitialized = Checked;
+    Opts.Tier = ExecTier::Bytecode;
+    Interpreter Warm(Prog, Opts);
+    Opts.Tier = ExecTier::Tree;
+    for (const CallCase &C : Cases) {
+      uint64_t Before = memoCounts().Served;
+      std::string WarmSide =
+          renderOutcome(Warm.callRoutine(C.R, C.Args, C.Presets));
+      Interpreter Fresh(Prog, Opts);
+      EXPECT_EQ(WarmSide,
+                renderOutcome(Fresh.callRoutine(C.R, C.Args, C.Presets)))
+          << Label << ": " << C.R->getName() << " checked=" << Checked;
+      Served += memoCounts().Served - Before;
+    }
+  }
+  return Served;
+}
+
+TEST(CallMemo, ServedOutcomesEqualFreshRuns) {
+  uint64_t Served = 0;
+  for (const auto &[Label, Src] : memoCorpus()) {
+    auto Prog = compile(Src);
+    ASSERT_TRUE(Prog) << Label;
+    Served += expectMemoMatchesFresh(*Prog, Label);
+  }
+  EXPECT_GT(Served, 200u);
+}
+
+TEST(CallMemo, RandomProgramsServeFreshOutcomes) {
+  uint64_t Served = 0;
+  for (const auto &[Label, Src] : randomMemoCorpus()) {
+    auto Prog = compile(Src);
+    ASSERT_TRUE(Prog) << Label;
+    Served += expectMemoMatchesFresh(*Prog, Label);
+  }
+  EXPECT_GT(Served, 30u);
+}
+
+/// A chain's first judgement records every call below it: each later
+/// question about the chain is a lookup that bumps no tier counter.
+TEST(CallMemo, ChainJudgementsAfterTheFirstAreLookups) {
+  auto Prog = compile(chainProgram(8, 3).Fixed);
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter I(*Prog, Opts);
+  std::vector<CallCase> Cases = judgedCalls(*Prog);
+  ASSERT_GE(Cases.size(), 8u);
+  obs::Counter &VM = obs::Registry::global().counter("interp.tier.bytecode");
+  MemoCounts Before = memoCounts();
+  uint64_t VM0 = VM.value();
+  for (const CallCase &C : Cases)
+    ASSERT_TRUE(I.callRoutine(C.R, C.Args, C.Presets).Ok) << C.R->getName();
+  EXPECT_EQ(VM.value(), VM0 + 1) << "only the first judgement ran";
+  // The program block prints, so only p1 .. p8 are recorded.
+  EXPECT_EQ(memoCounts().Served, Before.Served + Cases.size() - 1);
+  EXPECT_EQ(memoCounts().Recorded, Before.Recorded + Cases.size() - 1);
+}
+
+/// The compile-time flag of routine \p Name.
+bool selfContained(const pascal::Program &Prog, const std::string &Name,
+                   bool Checked = false) {
+  auto CP = bytecode::compile(Prog, Checked);
+  EXPECT_TRUE(CP);
+  for (const bytecode::CompiledRoutine &CR : CP->Routines)
+    if (CR.Routine->getName() == Name)
+      return CR.SelfContained;
+  ADD_FAILURE() << "no routine " << Name;
+  return false;
+}
+
+/// Calls \p Name twice with each argument/preset set on one warm
+/// interpreter and requires that nothing is recorded or served and that
+/// every outcome equals a fresh tree-walker run's.
+void expectNeverMemoized(const pascal::Program &Prog, InterpOptions Opts,
+                         const std::string &Name,
+                         const std::vector<std::vector<Value>> &ArgSets,
+                         const std::vector<Binding> &Presets = {},
+                         TraceListener *Listener = nullptr) {
+  const pascal::RoutineDecl *R = Prog.getMain()->findRoutine(Name);
+  ASSERT_TRUE(R);
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter Warm(Prog, Opts);
+  Warm.setListener(Listener);
+  Warm.setInput({4, 9});
+  Opts.Tier = ExecTier::Tree;
+  MemoCounts Before = memoCounts();
+  for (int Round = 0; Round != 2; ++Round)
+    for (const std::vector<Value> &Args : ArgSets) {
+      std::string WarmSide = renderOutcome(Warm.callRoutine(R, Args, Presets));
+      Interpreter Fresh(Prog, Opts);
+      Fresh.setInput({4, 9});
+      EXPECT_EQ(WarmSide, renderOutcome(Fresh.callRoutine(R, Args, Presets)))
+          << Name << " round " << Round;
+    }
+  EXPECT_TRUE(memoCounts() == Before) << Name;
+}
+
+TEST(CallMemo, RefusesGlobalRead) {
+  auto Prog = compile("program p;\nvar g: integer;\n"
+                      "function f(x: integer): integer;\n"
+                      "begin f := x + g end;\n"
+                      "begin g := 1; writeln(f(2)) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_FALSE(selfContained(*Prog, "f"));
+  for (int64_t G : {1, 5})
+    expectNeverMemoized(*Prog, {}, "f", {{Value::makeInt(2)}},
+                        {{"g", Value::makeInt(G)}});
+}
+
+TEST(CallMemo, RefusesGlobalWrite) {
+  auto Prog = compile("program p;\nvar g: integer;\n"
+                      "procedure q(x: integer);\n"
+                      "begin g := g + x end;\n"
+                      "begin g := 1; q(2); writeln(g) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_FALSE(selfContained(*Prog, "q"));
+  expectNeverMemoized(*Prog, {}, "q", {{Value::makeInt(2)}},
+                      {{"g", Value::makeInt(3)}});
+}
+
+TEST(CallMemo, RefusesWriteln) {
+  auto Prog = compile("program p;\n"
+                      "procedure q(x: integer);\n"
+                      "begin writeln(x) end;\n"
+                      "begin q(2) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_FALSE(selfContained(*Prog, "q"));
+  expectNeverMemoized(*Prog, {}, "q", {{Value::makeInt(2)}});
+}
+
+TEST(CallMemo, RefusesRead) {
+  auto Prog = compile("program p;\nvar r: integer;\n"
+                      "procedure q(var y: integer);\n"
+                      "begin read(y) end;\n"
+                      "procedure outer(var z: integer);\n"
+                      "begin q(z); z := z + 1 end;\n"
+                      "begin outer(r); writeln(r) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_FALSE(selfContained(*Prog, "q"));
+  EXPECT_FALSE(selfContained(*Prog, "outer")) << "calls a reader";
+  expectNeverMemoized(*Prog, {}, "outer", {{Value::makeInt(0)}});
+  expectNeverMemoized(*Prog, {}, "q", {{Value::makeInt(0)}});
+}
+
+TEST(CallMemo, RefusesAliasedVarArguments) {
+  // q(t, t) writes one cell twice; a direct q(5, 5) binds two cells, so
+  // the aliased call must not be recorded as q's outcome for (5, 5).
+  auto Prog = compile("program p;\nvar g: integer;\n"
+                      "procedure q(var a, b: integer);\n"
+                      "begin a := a + 1; b := b * 2 end;\n"
+                      "procedure r(var t: integer);\n"
+                      "begin q(t, t) end;\n"
+                      "begin g := 5; r(g); writeln(g) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_TRUE(selfContained(*Prog, "q"));
+  EXPECT_TRUE(selfContained(*Prog, "r"));
+  const pascal::RoutineDecl *Q = Prog->getMain()->findRoutine("q");
+  const pascal::RoutineDecl *R = Prog->getMain()->findRoutine("r");
+  InterpOptions VM;
+  VM.Tier = ExecTier::Bytecode;
+  Interpreter Warm(*Prog, VM);
+  MemoCounts Before = memoCounts();
+  CallOutcome ViaR = Warm.callRoutine(R, {Value::makeInt(5)});
+  ASSERT_TRUE(ViaR.Ok);
+  EXPECT_EQ(ViaR.Outputs[0].V.asInt(), 12);
+  EXPECT_EQ(memoCounts().Recorded, Before.Recorded + 1) << "r only";
+  CallOutcome Direct = Warm.callRoutine(Q, {Value::makeInt(5),
+                                            Value::makeInt(5)});
+  EXPECT_EQ(memoCounts().Served, Before.Served);
+  Interpreter Fresh(*Prog);
+  EXPECT_EQ(renderOutcome(Direct),
+            renderOutcome(Fresh.callRoutine(Q, {Value::makeInt(5),
+                                                Value::makeInt(5)})));
+  EXPECT_EQ(Direct.Outputs[0].V.asInt(), 6);
+  EXPECT_EQ(Direct.Outputs[1].V.asInt(), 10);
+  // r's own record is exact: its run binds t's cell once.
+  EXPECT_EQ(renderOutcome(Warm.callRoutine(R, {Value::makeInt(5)})),
+            renderOutcome(ViaR));
+  EXPECT_EQ(memoCounts().Served, Before.Served + 1);
+}
+
+TEST(CallMemo, RefusesUnassignedResultInCheckedMode) {
+  auto Prog = compile("program p;\nvar r: integer;\n"
+                      "function f(x: integer): integer;\n"
+                      "begin if x > 0 then f := x end;\n"
+                      "procedure q(x: integer; var y: integer);\n"
+                      "begin y := f(x) end;\n"
+                      "begin q(1, r); writeln(r) end.");
+  ASSERT_TRUE(Prog);
+  EXPECT_TRUE(selfContained(*Prog, "f", /*Checked=*/true));
+  InterpOptions Checked;
+  Checked.DetectUninitialized = true;
+  expectNeverMemoized(*Prog, Checked, "f", {{Value::makeInt(0)}});
+  expectNeverMemoized(*Prog, Checked, "q",
+                      {{Value::makeInt(0), Value::makeInt(0)}});
+  // Unchecked, f(0) returns the default 0 and is memoized.
+  InterpOptions VM;
+  VM.Tier = ExecTier::Bytecode;
+  Interpreter I(*Prog, VM);
+  MemoCounts Before = memoCounts();
+  EXPECT_TRUE(I.callRoutine("f", {Value::makeInt(0)}).Ok);
+  EXPECT_TRUE(I.callRoutine("f", {Value::makeInt(0)}).Ok);
+  EXPECT_EQ(memoCounts().Recorded, Before.Recorded + 1);
+  EXPECT_EQ(memoCounts().Served, Before.Served + 1);
+}
+
+TEST(CallMemo, BypassedWithListener) {
+  auto Prog = compile(chainProgram(5, 2).Fixed);
+  ASSERT_TRUE(Prog);
+  trace::ExecTreeBuilder Builder;
+  expectNeverMemoized(*Prog, {}, "p1", {{Value::makeInt(3), Value()}}, {},
+                      &Builder);
+  auto Tree = Builder.takeTree();
+  ASSERT_TRUE(Tree && Tree->getRoot());
+  EXPECT_EQ(Tree->getRoot()->getName(), "p1") << "the last call ran traced";
+}
+
+TEST(CallMemo, BypassedWithTrackDeps) {
+  auto Prog = compile(chainProgram(5, 2).Fixed);
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.TrackDeps = true;
+  expectNeverMemoized(*Prog, Opts, "p1", {{Value::makeInt(3), Value()}});
+}
+
+TEST(CallMemo, RecursionStopsRecordingAtTheCap) {
+  auto Prog = compile("program p;\n"
+                      "function f(n: integer): integer;\n"
+                      "begin if n = 0 then f := 0 else f := f(n - 1) + 2 "
+                      "end;\n"
+                      "begin writeln(f(3)) end.");
+  ASSERT_TRUE(Prog);
+  ASSERT_TRUE(selfContained(*Prog, "f"));
+  const int64_t Cap = CallMemo::MaxEntries;
+  InterpOptions Opts;
+  Opts.MaxCallDepth = Cap + 200;
+  Opts.Tier = ExecTier::Bytecode;
+  Interpreter Warm(*Prog, Opts);
+  MemoCounts Before = memoCounts();
+  CallOutcome Deep = Warm.callRoutine("f", {Value::makeInt(Cap + 50)});
+  ASSERT_TRUE(Deep.Ok) << Deep.Error.Message;
+  EXPECT_EQ(Deep.Outputs[0].V.asInt(), 2 * (Cap + 50));
+  // Innermost calls complete first: f(0) .. f(Cap - 1) fill the memo.
+  EXPECT_EQ(memoCounts().Recorded, Before.Recorded + Cap);
+  // The reference is a fresh bytecode run: this recursion is too deep for
+  // the tree walker's host stack.
+  for (int64_t N : {Cap - 1, Cap, Cap + 10}) {
+    MemoCounts Before = memoCounts();
+    std::string WarmSide =
+        renderOutcome(Warm.callRoutine("f", {Value::makeInt(N)}));
+    MemoCounts After = memoCounts();
+    EXPECT_EQ(After.Served, Before.Served + (N < Cap ? 1 : 0)) << N;
+    EXPECT_EQ(After.Recorded, Before.Recorded) << "full";
+    Interpreter Fresh(*Prog, Opts);
+    EXPECT_EQ(WarmSide,
+              renderOutcome(Fresh.callRoutine("f", {Value::makeInt(N)})));
+  }
+}
+
+/// What the flag promises, derived from the AST: Banning's GREF and GMOD
+/// empty, and no read/write statement in the routine or anything it
+/// calls.
+std::map<const pascal::RoutineDecl *, bool>
+expectedSelfContained(const pascal::Program &Prog) {
+  analysis::CallGraph CG(Prog);
+  analysis::SideEffectAnalysis SEA(Prog, CG);
+  std::map<const pascal::RoutineDecl *, bool> IO;
+  for (const pascal::RoutineDecl *R : CG.routines()) {
+    bool Direct = false;
+    if (R->getBody())
+      pascal::forEachStmt(R->getBody(),
+                          [&](pascal::Stmt *S) {
+                            Direct |= S->getKind() == pascal::Stmt::Kind::Read ||
+                                      S->getKind() == pascal::Stmt::Kind::Write;
+                          });
+    IO[R] = Direct;
+  }
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const pascal::RoutineDecl *R : CG.routines())
+      for (const analysis::CallSite &Site : CG.callSitesIn(R))
+        if (IO[Site.Callee] && !IO[R])
+          IO[R] = Changed = true;
+  }
+  std::map<const pascal::RoutineDecl *, bool> Expected;
+  for (const pascal::RoutineDecl *R : CG.routines()) {
+    const analysis::RoutineEffects &E = SEA.effects(R);
+    Expected[R] = E.GRef.empty() && E.GMod.empty() && !IO[R];
+  }
+  return Expected;
+}
+
+TEST(CallMemo, FlagMatchesSideEffectAnalysis) {
+  auto Corpus = memoCorpus();
+  for (auto &Entry : randomMemoCorpus())
+    Corpus.push_back(std::move(Entry));
+  unsigned Flagged = 0, Unflagged = 0;
+  for (const auto &[Label, Src] : Corpus) {
+    auto Prog = compile(Src);
+    ASSERT_TRUE(Prog) << Label;
+    auto Expected = expectedSelfContained(*Prog);
+    for (bool Checked : {false, true}) {
+      auto CP = bytecode::compile(*Prog, Checked);
+      if (!CP)
+        continue; // gotos: the tree walker runs it, nothing is memoized
+      for (const bytecode::CompiledRoutine &CR : CP->Routines) {
+        EXPECT_EQ(CR.SelfContained, Expected[CR.Routine])
+            << Label << ": " << CR.Routine->getName();
+        ++(CR.SelfContained ? Flagged : Unflagged);
+      }
+    }
+  }
+  EXPECT_GT(Flagged, 100u);
+  EXPECT_GT(Unflagged, 100u);
 }
 
 //===----------------------------------------------------------------------===//

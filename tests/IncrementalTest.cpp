@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Bytecode.h"
 #include "core/GADT.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
@@ -300,6 +301,48 @@ TEST(IncrementalTest, EffectSignatureChangeRedoesCallerPdgOnly) {
   EXPECT_EQ(St.CodeReplayed, 3u);
   auto Cold = coldSession(Edited);
   expectSameCommitted(S, *Cold);
+}
+
+/// The call memo's SelfContained flags, by routine name.
+std::vector<std::pair<std::string, bool>>
+selfContainedFlags(const bytecode::CompiledProgram &CP) {
+  std::vector<std::pair<std::string, bool>> Flags;
+  for (const bytecode::CompiledRoutine &CR : CP.Routines)
+    Flags.push_back({CR.Routine->getName(), CR.SelfContained});
+  return Flags;
+}
+
+TEST(IncrementalTest, ReplayedCallersGetColdSelfContainedFlags) {
+  // leafa starts (then stops) reading the global g. hub's code is replayed
+  // both times, but its flag depends on leafa's: the link step must
+  // re-derive it, matching a cold compile.
+  std::string Base = kHandBase;
+  std::string Edited = Base;
+  size_t P = Edited.find("y := x + 1");
+  ASSERT_NE(P, std::string::npos);
+  Edited.replace(P, std::string("y := x + 1").size(), "y := x + g");
+
+  EditSession S;
+  commitSource(S, Base);
+  auto Hub = [](const bytecode::CompiledProgram &CP) {
+    for (const bytecode::CompiledRoutine &CR : CP.Routines)
+      if (CR.Routine->getName() == "hub")
+        return CR.SelfContained;
+    ADD_FAILURE() << "no hub";
+    return false;
+  };
+  ASSERT_NE(S.code(), nullptr);
+  EXPECT_TRUE(Hub(*S.code()));
+  for (const std::string *Src : {&Edited, &Base}) {
+    IncrementalStats St = commitSource(S, *Src);
+    EXPECT_FALSE(St.FullRebuild);
+    EXPECT_EQ(St.CodeReplayed, 3u); // hub among them
+    auto Cold = coldSession(*Src);
+    ASSERT_NE(S.code(), nullptr);
+    ASSERT_NE(Cold->code(), nullptr);
+    EXPECT_EQ(selfContainedFlags(*S.code()), selfContainedFlags(*Cold->code()));
+    EXPECT_EQ(Hub(*S.code()), Src == &Base);
+  }
 }
 
 TEST(IncrementalTest, InvalidEditLeavesSessionUntouched) {
