@@ -16,7 +16,6 @@
 
 #include "analysis/SDG.h"
 #include "bytecode/Bytecode.h"
-#include "bytecode/VM.h"
 #include "core/Debugger.h"
 #include "core/GADT.h"
 #include "core/ReferenceOracle.h"
@@ -349,13 +348,12 @@ BENCHMARK_CAPTURE(BM_OracleMemoHit, chain47, workload::chainProgram(47, 47),
                   "p1", "p2");
 
 //===--------------------------------------------------------------------===//
-// Dispatch and background-compile benchmarks (X14): the threaded-dispatch
-// / superinstruction / optimizer work on a loop-heavy subject where the
-// dispatch loop itself is the cost, plus the cold-session latency contract
-// of the background compile lane. GADT_EXEC_TIER switches the tier for the
-// BM_LoopHeavy* A/B captures (BENCH_PR10_BASELINE.json was recorded with
-// GADT_EXEC_TIER=tree); BM_Dispatch* pin the tier and dispatch mode
-// explicitly so both captures measure the same configuration.
+// Dispatch benchmarks (X14): the superinstruction / optimizer work on a
+// loop-heavy subject where the dispatch loop itself is the cost.
+// GADT_EXEC_TIER switches the tier for the BM_LoopHeavy* A/B captures
+// (BENCH_PR10_BASELINE.json was recorded with GADT_EXEC_TIER=tree);
+// BM_DispatchSwitch pins the bytecode tier explicitly so both captures
+// measure the same configuration.
 //===--------------------------------------------------------------------===//
 
 /// Hand-written tight-loop subject: straight-line arithmetic bodies inside
@@ -421,66 +419,20 @@ void BM_LoopHeavyDeps(benchmark::State &State) {
 }
 BENCHMARK(BM_LoopHeavyDeps);
 
-/// The two dispatch strategies head to head on the same compiled code;
-/// tier and mode pinned so the ratio is dispatch alone, independent of the
-/// capture's GADT_EXEC_TIER / GADT_BC_DISPATCH environment.
-void runDispatchBench(benchmark::State &State, bytecode::DispatchMode Mode) {
+/// The VM's dispatch loop alone: the bytecode tier pinned, so the number
+/// is independent of the capture's GADT_EXEC_TIER environment. The name
+/// is the committed baseline row's, recorded with this configuration.
+void BM_DispatchSwitch(benchmark::State &State) {
   auto Prog = compileOrDie(LoopHeavySrc);
   interp::InterpOptions Opts;
   Opts.Tier = interp::ExecTier::Bytecode;
   interp::Interpreter I(*Prog, Opts);
-  bytecode::setDispatchMode(Mode);
   for (auto _ : State) {
     auto R = I.run();
     benchmark::DoNotOptimize(R.Ok);
   }
-  bytecode::setDispatchMode(bytecode::DispatchMode::Auto);
-}
-
-void BM_DispatchSwitch(benchmark::State &State) {
-  runDispatchBench(State, bytecode::DispatchMode::Switch);
 }
 BENCHMARK(BM_DispatchSwitch);
-
-/// Computed-goto threaded dispatch; on a toolchain without the extension
-/// this silently measures the switch loop again (ratio 1).
-void BM_DispatchThreaded(benchmark::State &State) {
-  runDispatchBench(State, bytecode::DispatchMode::Threaded);
-}
-BENCHMARK(BM_DispatchThreaded);
-
-/// Cold-session first-run latency while a background compile is still in
-/// flight: the session holds a pending (never-published) AsyncCode handle
-/// and must start on the tree walker immediately instead of compiling
-/// privately. The contract (EXPERIMENTS.md X14) is that this sits within
-/// noise of BM_BgCompileTreeColdRun below.
-void BM_BgCompilePendingColdRun(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Figure4Buggy);
-  auto Pending = std::make_shared<bytecode::AsyncCode>();
-  for (auto _ : State) {
-    interp::InterpOptions Opts;
-    Opts.Tier = interp::ExecTier::Bytecode;
-    Opts.CodeAsync = Pending;
-    interp::Interpreter I(*Prog, Opts);
-    auto R = I.run();
-    benchmark::DoNotOptimize(R.Ok);
-  }
-}
-BENCHMARK(BM_BgCompilePendingColdRun);
-
-/// The pure tree-walker cold run the pending-handle path is measured
-/// against.
-void BM_BgCompileTreeColdRun(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Figure4Buggy);
-  for (auto _ : State) {
-    interp::InterpOptions Opts;
-    Opts.Tier = interp::ExecTier::Tree;
-    interp::Interpreter I(*Prog, Opts);
-    auto R = I.run();
-    benchmark::DoNotOptimize(R.Ok);
-  }
-}
-BENCHMARK(BM_BgCompileTreeColdRun);
 
 void BM_TransformGotoProgram(benchmark::State &State) {
   auto Prog = compileOrDie(workload::Section6GlobalGoto);

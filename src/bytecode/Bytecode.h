@@ -44,10 +44,8 @@
 #include "support/SourceLoc.h"
 #include "support/Symbols.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -156,18 +154,6 @@ enum class Op : uint16_t {
                ///< value is the binop's *right* operand (C was the left).
                ///< Non-failing kinds only (never Div/Mod).
 };
-
-/// Every opcode, in enum order — the threaded dispatcher builds its label
-/// table from this list, so it must stay in lockstep with `enum Op` (a
-/// static_assert in VM.cpp checks).
-#define GADT_BC_OPS(X)                                                       \
-  X(Step) X(Load) X(LoadChecked) X(Store) X(LoadIdx) X(StoreIdx)             \
-  X(ArrayLit) X(Add) X(Sub) X(Mul) X(DivOp) X(ModOp) X(EqI) X(NeI) X(EqB)    \
-  X(NeB) X(Lt) X(Le) X(Gt) X(Ge) X(AndB) X(OrB) X(NotB) X(NegI) X(Jmp)       \
-  X(IfBr) X(PopCtrl) X(LoopEnter) X(WhileTest) X(IterBegin) X(IterEnd)       \
-  X(RepeatTest) X(ForPrep) X(ForTest) X(ForIter) X(ForEnd) X(LoopExit)       \
-  X(ForExit) X(CallGuard) X(Call) X(Ret) X(ReadFetch) X(WriteVal)            \
-  X(WriteNl) X(Nop) X(CmpBr) X(CmpWhile) X(BinStore) X(StepLoad) X(LoadBin)
 
 struct Instr {
   Op Code;
@@ -320,23 +306,19 @@ struct CodeRebuildStats {
 /// Middle-end knobs. Every pass is transcript-preserving by construction
 /// (passes only touch pure register/constant instructions — anything that
 /// observes a cell, raises a unit event or can fail is left alone), so
-/// these exist for differential testing and A/B measurement, not
-/// correctness. The default is read once from `GADT_BC_OPT` ("0"/"off"
-/// disables everything; unset/anything else enables).
+/// these exist for the per-pass differential tests, not correctness.
+/// Production compiles use the defaults (every pass on).
 struct CompileOptions {
   /// Constant folding, dead-store elision, redundant-LoadChecked elision.
   bool Optimize = true;
   /// Superinstruction fusion (peephole over static pair frequencies).
   bool Fuse = true;
-
-  /// Process-wide default, from GADT_BC_OPT (cached).
-  static CompileOptions fromEnv();
 };
 
 /// Compiles \p P (which must have storage slots assigned) to bytecode.
 /// Returns null when the program uses a construct the bytecode tier does
 /// not support; \p WhyNot (optional) receives the first reason.
-/// The two-argument form uses CompileOptions::fromEnv().
+/// The two-argument form uses the default CompileOptions.
 std::shared_ptr<const CompiledProgram>
 compile(const pascal::Program &P, bool Checked, std::string *WhyNot = nullptr);
 std::shared_ptr<const CompiledProgram>
@@ -351,42 +333,6 @@ std::shared_ptr<const CompiledProgram>
 compileWithReuse(const pascal::Program &P, bool Checked,
                  const CodeReusePlan &Reuse, CodeRebuildStats *Stats,
                  std::string *WhyNot = nullptr);
-
-//===----------------------------------------------------------------------===//
-// Background compilation
-//===----------------------------------------------------------------------===//
-
-/// A compile completing on another thread. The producer (the runtime's
-/// compile lane) publishes exactly once; consumers (Interpreter::run via
-/// InterpOptions::CodeAsync) poll at unit boundaries with one acquire load
-/// and hot-swap to bytecode when the unit arrives. A published null means
-/// the compiler rejected the program — consumers stay on the tree tier.
-class AsyncCode {
-public:
-  bool ready() const { return ReadyFlag.load(std::memory_order_acquire); }
-
-  /// The compiled unit, or null while pending / after a failed compile.
-  std::shared_ptr<const CompiledProgram> get() const {
-    if (!ready())
-      return nullptr;
-    std::lock_guard<std::mutex> L(M);
-    return Code;
-  }
-
-  /// Producer side; call at most once.
-  void publish(std::shared_ptr<const CompiledProgram> C) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Code = std::move(C);
-    }
-    ReadyFlag.store(true, std::memory_order_release);
-  }
-
-private:
-  mutable std::mutex M;
-  std::shared_ptr<const CompiledProgram> Code;
-  std::atomic<bool> ReadyFlag{false};
-};
 
 } // namespace bytecode
 } // namespace gadt

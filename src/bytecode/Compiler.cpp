@@ -31,9 +31,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
-#include <string_view>
 #include <unordered_map>
 
 using namespace gadt;
@@ -1153,24 +1151,9 @@ private:
 
 } // namespace
 
-CompileOptions CompileOptions::fromEnv() {
-  static const CompileOptions Cached = [] {
-    CompileOptions O;
-    if (const char *E = std::getenv("GADT_BC_OPT")) {
-      std::string_view V(E);
-      if (V == "0" || V == "off") {
-        O.Optimize = false;
-        O.Fuse = false;
-      }
-    }
-    return O;
-  }();
-  return Cached;
-}
-
 std::shared_ptr<const CompiledProgram>
 bytecode::compile(const Program &P, bool Checked, std::string *WhyNot) {
-  return Compiler(P, Checked, CompileOptions::fromEnv()).run(WhyNot);
+  return Compiler(P, Checked, CompileOptions()).run(WhyNot);
 }
 
 std::shared_ptr<const CompiledProgram>
@@ -1183,7 +1166,7 @@ std::shared_ptr<const CompiledProgram>
 bytecode::compileWithReuse(const Program &P, bool Checked,
                            const CodeReusePlan &Reuse, CodeRebuildStats *Stats,
                            std::string *WhyNot) {
-  const CompileOptions Opts = CompileOptions::fromEnv();
+  const CompileOptions Opts{};
   Compiler C(P, Checked, Opts, &Reuse);
   auto CP = C.run(WhyNot);
   if (!CP && C.replayFailed()) {

@@ -14,17 +14,6 @@
 
 #include "bytecode/VM.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
-
-// Computed-goto threaded dispatch needs the GNU address-of-label extension
-// (`&&label` + `goto *p`); GCC and Clang both provide it. Elsewhere the
-// switch dispatcher is the only backend and Threaded mode degrades to it.
-#if defined(__GNUC__) || defined(__clang__)
-#define GADT_COMPUTED_GOTO 1
-#endif
-
 using namespace gadt;
 using namespace gadt::bytecode;
 using namespace gadt::interp;
@@ -218,26 +207,10 @@ Value evalBin(Op K, const Value &L, const Value &R) {
   }
 }
 
-/// The handler include below must enumerate every opcode in enum order —
-/// the threaded dispatcher indexes a label table by raw Op value.
-constexpr bool opsMatch() {
-  const Op Expected[] = {
-#define X(name) Op::name,
-      GADT_BC_OPS(X)
-#undef X
-  };
-  constexpr size_t N = sizeof(Expected) / sizeof(Expected[0]);
-  if (N != static_cast<size_t>(Op::LoadBin) + 1)
-    return false;
-  for (size_t K = 0; K != N; ++K)
-    if (static_cast<size_t>(Expected[K]) != K)
-      return false;
-  return true;
-}
-static_assert(opsMatch(), "GADT_BC_OPS is out of sync with enum Op");
-
+/// The interpreter loop: re-checks S.Failed, then fetches one instruction
+/// and switches to its handler (bytecode/VMOps.inc).
 template <bool TrackDeps>
-void dispatchSwitch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
+void dispatchLoop(ExecState &S, const CompiledProgram &CP, VMState &VS) {
   VMFrame *F = &VS.Frames[VS.Depth - 1];
   const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
   uint32_t PC = F->PC;
@@ -273,101 +246,13 @@ void dispatchSwitch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
   }
 }
 
-#ifdef GADT_COMPUTED_GOTO
-
-/// Threaded dispatch: every handler ends by fetching the next instruction
-/// and jumping straight to its handler through a label table indexed by
-/// opcode, so the branch predictor sees one indirect jump per handler
-/// (correlated with the instruction stream) instead of the single shared
-/// jump a switch loop funnels everything through.
-template <bool TrackDeps>
-void dispatchThreaded(ExecState &S, const CompiledProgram &CP, VMState &VS) {
-  VMFrame *F = &VS.Frames[VS.Depth - 1];
-  const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
-  uint32_t PC = F->PC;
-  Value *Regs = VS.Regs.data() + F->RegBase;
-  Activation *Act = F->Act;
-  const Instr *IP = nullptr;
-
-  auto reload = [&] {
-    F = &VS.Frames[VS.Depth - 1];
-    Code = CP.Routines[F->RoutineIdx].Code.data();
-    PC = F->PC;
-    Regs = VS.Regs.data() + F->RegBase;
-    Act = F->Act;
-  };
-
-  // Label addresses are function-local; each template instantiation gets
-  // its own table. The opsMatch() static_assert above pins the order.
-  static const void *const Tbl[] = {
-#define X(name) &&Lbl_##name,
-      GADT_BC_OPS(X)
-#undef X
-  };
-
-#define GADT_DISPATCH()                                                        \
-  do {                                                                         \
-    if (S.Failed) [[unlikely]]                                                 \
-      goto GadtFail;                                                           \
-    IP = &Code[PC++];                                                          \
-    goto *Tbl[static_cast<size_t>(IP->Code)];                                  \
-  } while (0)
-
-  GADT_DISPATCH();
-
-  // clang-format off
-#define GADT_OP(name) Lbl_##name: { const Instr &I = *IP; (void)I;
-#define GADT_OP_END } GADT_DISPATCH();
-#define GADT_NEXT GADT_DISPATCH()
-  // clang-format on
-#include "bytecode/VMOps.inc"
-#undef GADT_OP
-#undef GADT_OP_END
-#undef GADT_NEXT
-#undef GADT_DISPATCH
-
-GadtFail:
-  unwindAll(S, VS, F);
-}
-
-#endif // GADT_COMPUTED_GOTO
-
-std::atomic<DispatchMode> GDispatchMode{DispatchMode::Auto};
-
-DispatchMode envDispatchMode() {
-  static const DispatchMode M = [] {
-    if (const char *E = std::getenv("GADT_BC_DISPATCH")) {
-      std::string_view V(E);
-      if (V == "switch")
-        return DispatchMode::Switch;
-      if (V == "threaded")
-        return DispatchMode::Threaded;
-    }
-#ifdef GADT_COMPUTED_GOTO
-    return DispatchMode::Threaded;
-#else
-    return DispatchMode::Switch;
-#endif
-  }();
-  return M;
-}
-
 /// Runs the dispatch loop from the top frame until the base frame
 /// returns (or a failure unwinds to it).
 void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
-#ifdef GADT_COMPUTED_GOTO
-  if (dispatchMode() == DispatchMode::Threaded) {
-    if (S.Opts.TrackDeps)
-      dispatchThreaded<true>(S, CP, VS);
-    else
-      dispatchThreaded<false>(S, CP, VS);
-    return;
-  }
-#endif
   if (S.Opts.TrackDeps)
-    dispatchSwitch<true>(S, CP, VS);
+    dispatchLoop<true>(S, CP, VS);
   else
-    dispatchSwitch<false>(S, CP, VS);
+    dispatchLoop<false>(S, CP, VS);
 }
 
 /// Makes \p Act, running routine \p RoutineIdx as unit \p NodeId, the
@@ -392,20 +277,6 @@ void enterBaseFrame(const CompiledProgram &CP, VMState &VS,
 }
 
 } // namespace
-
-void bytecode::setDispatchMode(DispatchMode M) {
-  GDispatchMode.store(M, std::memory_order_relaxed);
-}
-
-DispatchMode bytecode::dispatchMode() {
-  DispatchMode M = GDispatchMode.load(std::memory_order_relaxed);
-  if (M == DispatchMode::Auto)
-    M = envDispatchMode();
-#ifndef GADT_COMPUTED_GOTO
-  M = DispatchMode::Switch;
-#endif
-  return M;
-}
 
 ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
                          VMState &VS) {

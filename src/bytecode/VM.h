@@ -28,21 +28,6 @@ struct VMState;
 VMState *createVMState();
 void destroyVMState(VMState *);
 
-/// How the VM's inner loop is driven. Threaded uses computed-goto label
-/// tables (GCC/Clang `&&label`); on compilers without the extension it
-/// degrades to Switch. Auto defers to the GADT_BC_DISPATCH environment
-/// variable ("switch" / "threaded") and defaults to Threaded where
-/// supported.
-enum class DispatchMode : uint8_t { Auto, Switch, Threaded };
-
-/// Process-wide dispatch-mode override; Auto (the initial value) restores
-/// env-driven selection. Thread-safe; takes effect at the next run().
-void setDispatchMode(DispatchMode M);
-
-/// The effective mode the next run() will use — never Auto, and never
-/// Threaded on a toolchain without computed goto.
-DispatchMode dispatchMode();
-
 /// Executes the whole program. \p S must be freshly reset by the caller's
 /// entry point *except* for Arena/FreeList pool state; this mirrors
 /// the tree walker's run() and produces an identical event stream.

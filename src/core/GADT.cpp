@@ -73,7 +73,6 @@ BugReport GADTSession::debug(Oracle &UserOracle, std::vector<int64_t> Input) {
   // Shared compiled bytecode (null when unsupported → the interpreter
   // falls back to the tree tier, or compiles privately on first run).
   IOpts.Code = Artifacts ? Artifacts->Code : nullptr;
-  IOpts.CodeAsync = Artifacts ? Artifacts->CodeAsync : nullptr;
   LastTree = trace::buildExecTree(*Prepared, IOpts, std::move(Input),
                                   &LastRun);
   if (!LastRun.Ok) {

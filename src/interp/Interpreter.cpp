@@ -10,14 +10,48 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string_view>
+
+#include <pthread.h>
 
 using namespace gadt;
 using namespace gadt::interp;
 using namespace gadt::pascal;
 
 TraceListener::~TraceListener() = default;
+
+namespace {
+
+/// Headroom the tree walker keeps above the end of the host stack: room
+/// for the frames one subject call nests between two performCall checks
+/// (argument evaluation, statements, unit events) and for the failure
+/// path, also under sanitizers, whose frames are larger.
+constexpr size_t StackMargin = 256 * 1024;
+
+/// The lowest frame address at which the tree walker may still enter a
+/// subject call on this thread, or 0 when the stack bounds are unknown.
+/// Read once per thread: on the main thread pthread_getattr_np parses
+/// /proc/self/maps. Stacks smaller than four margins keep a quarter.
+uintptr_t stackFloor() {
+  static thread_local const uintptr_t Floor = [] {
+    uintptr_t F = 0;
+    pthread_attr_t Attr;
+    if (pthread_getattr_np(pthread_self(), &Attr) == 0) {
+      void *Addr = nullptr;
+      size_t Size = 0;
+      if (pthread_attr_getstack(&Attr, &Addr, &Size) == 0 && Addr)
+        F = reinterpret_cast<uintptr_t>(Addr) +
+            std::min(StackMargin, Size / 4);
+      pthread_attr_destroy(&Attr);
+    }
+    return F;
+  }();
+  return Floor;
+}
+
+} // namespace
 
 Value gadt::interp::defaultValue(const Type *Ty) {
   if (!Ty)
@@ -56,10 +90,6 @@ struct Interpreter::Impl : ExecState {
   std::shared_ptr<const bytecode::CompiledProgram> ProgCode;
   bool ProgCodeFetched = false;
   bytecode::VMState *VS = nullptr;
-  // Hot-swap: code adopted from InterpOptions::CodeAsync once the
-  // background compile published. Adopted exactly once per Interpreter.
-  std::shared_ptr<const bytecode::CompiledProgram> BgCode;
-  bool BgAdopted = false;
 
   Impl(const Program &Prog, InterpOptions Opts)
       : ExecState(Prog, Opts) {}
@@ -288,6 +318,14 @@ struct Interpreter::Impl : ExecState {
     if (CallDepth >= Opts.MaxCallDepth) {
       fail(Loc, "call depth limit exceeded (runaway recursion in '" +
                     Callee->getName() + "')");
+      return Value();
+    }
+    // The subject's recursion is the walker's own: stop before the host
+    // stack runs out, whatever MaxCallDepth allows.
+    if (reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+        stackFloor()) {
+      fail(Loc, "host stack exhausted (recursion in '" + Callee->getName() +
+                    "' is too deep for the tree walker)");
       return Value();
     }
     Activation Act;
@@ -700,43 +738,11 @@ struct Interpreter::Impl : ExecState {
   /// The compiled unit to run, preferring code injected via InterpOptions
   /// (the RuntimeContext cache) when it matches this program and checking
   /// mode; otherwise the program's own compile, built once per Program and
-  /// shared by every Interpreter over it. Null = unsupported, run the
-  /// tree — except while a background compile is pending (\p Pending),
-  /// where the tree runs *without* compiling so the first unit is not
-  /// taxed with the ~150 µs the compile lane exists to hide.
-  const bytecode::CompiledProgram *resolveCode(bool &Pending) {
-    Pending = false;
+  /// shared by every Interpreter over it. Null = unsupported, run the tree.
+  const bytecode::CompiledProgram *resolveCode() {
     if (Opts.Code && Opts.Code->Prog == &Prog &&
         Opts.Code->Checked == Opts.DetectUninitialized)
       return Opts.Code.get();
-    if (Opts.CodeAsync) {
-      if (!BgAdopted) {
-        if (!Opts.CodeAsync->ready()) {
-          Pending = true;
-          return nullptr;
-        }
-        // Hot-swap point: adopt at the run boundary (the next unit after
-        // the compile finished). A published null or a unit for another
-        // program/mode falls through to the private-compile path.
-        BgAdopted = true;
-        BgCode = Opts.CodeAsync->get();
-        if (BgCode && (BgCode->Prog != &Prog ||
-                       BgCode->Checked != Opts.DetectUninitialized))
-          BgCode = nullptr;
-        if (BgCode) {
-          static obs::Counter &Swapped =
-              obs::Registry::global().counter("runtime.code.bg.swapped");
-          Swapped.add();
-        }
-      }
-      if (BgCode)
-        return BgCode.get();
-      if (BgAdopted && !BgCode && !Opts.CodeAsync->get()) {
-        // Published null: the compiler rejected the program. Decided once
-        // on the lane; do not retry privately.
-        return nullptr;
-      }
-    }
     if (!ProgCodeFetched) {
       ProgCodeFetched = true;
       ProgCode = Prog.compiledCode(Opts.DetectUninitialized, [this] {
@@ -752,8 +758,7 @@ struct Interpreter::Impl : ExecState {
   const bytecode::CompiledProgram *selectTier() {
     ExecTier Tier = Opts.Tier != ExecTier::Auto ? Opts.Tier : envTier();
     if (Tier == ExecTier::Bytecode) {
-      bool Pending = false;
-      if (const bytecode::CompiledProgram *CP = resolveCode(Pending)) {
+      if (const bytecode::CompiledProgram *CP = resolveCode()) {
         static obs::Counter &TierBc =
             obs::Registry::global().counter("interp.tier.bytecode");
         TierBc.add();
@@ -761,11 +766,9 @@ struct Interpreter::Impl : ExecState {
           VS = bytecode::createVMState();
         return CP;
       }
-      if (!Pending) {
-        static obs::Counter &TierFb =
-            obs::Registry::global().counter("interp.tier.fallback");
-        TierFb.add();
-      }
+      static obs::Counter &TierFb =
+          obs::Registry::global().counter("interp.tier.fallback");
+      TierFb.add();
     }
     static obs::Counter &TierTree =
         obs::Registry::global().counter("interp.tier.tree");

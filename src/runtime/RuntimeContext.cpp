@@ -5,12 +5,8 @@
 #include "bytecode/Bytecode.h"
 #include "obs/Trace.h"
 #include "pascal/Frontend.h"
-#include "runtime/CompileLane.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
-
-#include <cstdlib>
-#include <string_view>
 
 using namespace gadt;
 using namespace gadt::runtime;
@@ -296,14 +292,10 @@ RuntimeContext::prepare(const std::string &Source,
   {
     // Compile-once bytecode for the prepared program (src/bytecode).
     // Unsupported programs cache a null Code, so the tree-tier fallback
-    // decision is also made exactly once per subject. With background
-    // compilation on, the miss enqueues the compile on the lane instead
-    // and caches the AsyncCode handle — sessions start on the tree walker
-    // and hot-swap when it publishes.
+    // decision is also made exactly once per subject.
     std::pair<uint64_t, bool> CodeKey{Fingerprint, Opts.Transform};
     std::shared_ptr<const pascal::Program> Prepared = Artifacts->Prepared;
     std::shared_ptr<const pascal::Program> Pin = Artifacts->Subject;
-    const bool Bg = Options.BackgroundCompile;
     obs::Span Span("cache.code", "cache");
     bool WasMiss = false;
     std::shared_ptr<const CodeEntry> E = Codes.getOrBuild(
@@ -312,13 +304,7 @@ RuntimeContext::prepare(const std::string &Source,
           auto Entry = std::make_shared<CodeEntry>();
           Entry->Prepared = Prepared;
           Entry->OriginalPin = Pin;
-          if (Bg) {
-            Entry->Async = std::make_shared<bytecode::AsyncCode>();
-            enqueueCompile(Prepared.get(), Prepared, /*Checked=*/false,
-                           Entry->Async);
-          } else {
-            Entry->Code = bytecode::compile(*Prepared, /*Checked=*/false);
-          }
+          Entry->Code = bytecode::compile(*Prepared, /*Checked=*/false);
           return Entry;
         },
         &WasMiss);
@@ -335,25 +321,8 @@ RuntimeContext::prepare(const std::string &Source,
     // executes (otherwise the interpreter compiles privately).
     if (E->Code && E->Code->Prog == Artifacts->Prepared.get())
       Artifacts->Code = E->Code;
-    else if (E->Async && E->Prepared == Artifacts->Prepared) {
-      // Promote a finished background compile to a plain Code reference so
-      // later sessions skip the adoption branch entirely.
-      if (auto Done = E->Async->get();
-          Done && Done->Prog == Artifacts->Prepared.get())
-        Artifacts->Code = std::move(Done);
-      else if (!E->Async->ready())
-        Artifacts->CodeAsync = E->Async;
-    }
   }
   return Artifacts;
-}
-
-bool RuntimeOptions::backgroundCompileDefault() {
-  static const bool On = [] {
-    const char *E = std::getenv("GADT_BG_COMPILE");
-    return E && (std::string_view(E) == "1" || std::string_view(E) == "on");
-  }();
-  return On;
 }
 
 RuntimeStats RuntimeContext::stats() const {

@@ -56,14 +56,6 @@ struct RuntimeOptions {
   /// evicted until the estimate fits again. Eviction drops the cache's
   /// reference only — sessions already holding an entry keep it alive.
   size_t CacheBudgetBytes = 0;
-  /// Compile bytecode on the background lane instead of inline during
-  /// prepare(): sessions receive an AsyncCode handle, start on the tree
-  /// walker and hot-swap when the compile publishes. Defaults to the
-  /// GADT_BG_COMPILE environment variable ("1"/"on" enables).
-  bool BackgroundCompile = backgroundCompileDefault();
-
-  /// The GADT_BG_COMPILE process default (cached).
-  static bool backgroundCompileDefault();
 };
 
 /// Counter snapshot across all caches of a context.
@@ -103,11 +95,6 @@ struct CodeEntry {
   std::shared_ptr<const pascal::Program> Prepared;
   std::shared_ptr<const pascal::Program> OriginalPin;
   std::shared_ptr<const bytecode::CompiledProgram> Code;
-  /// Background-compile handle (set instead of \c Code when the entry was
-  /// built with RuntimeOptions::BackgroundCompile). The entry is immutable
-  /// like every cached value — consumers read the handle; the compile lane
-  /// publishes into it.
-  std::shared_ptr<bytecode::AsyncCode> Async;
 };
 
 /// The shared cache layer. Thread-safe; see file comment.

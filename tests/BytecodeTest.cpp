@@ -18,7 +18,7 @@
 #include "analysis/SideEffects.h"
 #include "bytecode/Bytecode.h"
 #include "bytecode/Passes.h"
-#include "bytecode/VM.h"
+#include "interp/CallMemo.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "pascal/Frontend.h"
@@ -660,107 +660,6 @@ TEST(Superinstructions, StaticPairFrequenciesRanked) {
   ASSERT_FALSE(Pairs.empty());
   for (size_t K = 1; K < Pairs.size(); ++K)
     EXPECT_GE(Pairs[K - 1].second, Pairs[K].second) << "not sorted";
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch modes
-//===----------------------------------------------------------------------===//
-
-/// Switch and threaded dispatch run the same handlers in a different loop
-/// shape; transcripts must be byte-identical under every flag mask.
-TEST(DispatchModes, SwitchAndThreadedTranscriptsMatch) {
-  auto Prog = compile(OptSubjectSrc);
-  for (int Mask : {0, 5, 15}) {
-    InterpOptions Opts;
-    Opts.TraceLoops = (Mask & 1) != 0;
-    Opts.TraceIterations = (Mask & 2) != 0;
-    Opts.TrackDeps = (Mask & 4) != 0;
-    Opts.DetectUninitialized = (Mask & 8) != 0;
-    Opts.Tier = ExecTier::Tree;
-    std::string TreeSide = renderRun(*Prog, Opts);
-
-    Opts.Tier = ExecTier::Bytecode;
-    bytecode::setDispatchMode(bytecode::DispatchMode::Switch);
-    EXPECT_EQ(bytecode::dispatchMode(), bytecode::DispatchMode::Switch);
-    std::string SwitchSide = renderRun(*Prog, Opts);
-    bytecode::setDispatchMode(bytecode::DispatchMode::Threaded);
-    std::string ThreadedSide = renderRun(*Prog, Opts);
-    bytecode::setDispatchMode(bytecode::DispatchMode::Auto);
-
-    EXPECT_EQ(TreeSide, SwitchSide) << "switch dispatch, mask " << Mask;
-    EXPECT_EQ(SwitchSide, ThreadedSide) << "threaded dispatch, mask " << Mask;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Background-compile hot swap
-//===----------------------------------------------------------------------===//
-
-/// A session holding a pending AsyncCode handle runs on the tree walker
-/// without compiling privately, then adopts the published unit at the next
-/// run boundary — transcripts identical on both sides of the swap.
-TEST(BackgroundCompile, HotSwapAdoptsPublishedCodeAtRunBoundary) {
-  auto Prog = compile(Figure4Buggy);
-  InterpOptions Opts;
-  Opts.TrackDeps = true;
-  Opts.Tier = ExecTier::Tree;
-  std::string Golden = renderRun(*Prog, Opts);
-
-  obs::Counter &Swapped =
-      obs::Registry::global().counter("runtime.code.bg.swapped");
-  obs::Counter &TreeRuns = obs::Registry::global().counter("interp.tier.tree");
-  obs::Counter &VMRuns =
-      obs::Registry::global().counter("interp.tier.bytecode");
-
-  auto Handle = std::make_shared<bytecode::AsyncCode>();
-  Opts.Tier = ExecTier::Bytecode;
-  Opts.CodeAsync = Handle;
-
-  Interpreter I(*Prog, Opts);
-  I.setInput(corpusInput());
-  uint64_t Tree0 = TreeRuns.value(), VM0 = VMRuns.value(),
-           Swap0 = Swapped.value();
-
-  ExecResult R1 = I.run(); // pending: tree walker, no private compile
-  ASSERT_TRUE(R1.Ok);
-  EXPECT_EQ(TreeRuns.value(), Tree0 + 1);
-  EXPECT_EQ(Swapped.value(), Swap0);
-
-  Handle->publish(
-      bytecode::compile(*Prog, Opts.DetectUninitialized, nullptr));
-  I.setInput(corpusInput());
-  ExecResult R2 = I.run(); // published: adopted at this run boundary
-  ASSERT_TRUE(R2.Ok);
-  EXPECT_EQ(VMRuns.value(), VM0 + 1);
-  EXPECT_EQ(Swapped.value(), Swap0 + 1);
-  EXPECT_EQ(R1.Output, R2.Output);
-  EXPECT_EQ(R1.Steps, R2.Steps);
-
-  // Full-transcript check against the tree golden on both tiers.
-  EXPECT_EQ(renderRun(*Prog, Opts), Golden);
-}
-
-/// The race the TSan lane watches: a producer thread publishes the unit at
-/// an arbitrary point while the session keeps running. Whichever side of
-/// the swap a run lands on, its transcript must equal the tree walker's.
-TEST(BackgroundCompile, RacingPublishKeepsTranscriptsIdentical) {
-  auto Prog = compile(Figure4Buggy);
-  InterpOptions Opts;
-  Opts.TrackDeps = true;
-  Opts.Tier = ExecTier::Tree;
-  std::string Golden = renderRun(*Prog, Opts);
-
-  auto Handle = std::make_shared<bytecode::AsyncCode>();
-  auto Unit = bytecode::compile(*Prog, Opts.DetectUninitialized, nullptr);
-  ASSERT_TRUE(Unit != nullptr);
-
-  std::thread Producer([&] { Handle->publish(Unit); });
-
-  Opts.Tier = ExecTier::Bytecode;
-  Opts.CodeAsync = Handle;
-  for (int Round = 0; Round < 50; ++Round)
-    ASSERT_EQ(renderRun(*Prog, Opts), Golden) << "round " << Round;
-  Producer.join();
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,12 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Bytecode.h"
-#include "core/GADT.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
-#include "runtime/CompileLane.h"
 #include "runtime/EditSession.h"
-#include "runtime/RuntimeContext.h"
 #include "slicing/DynamicSlicer.h"
 #include "trace/ExecTreeBuilder.h"
 #include "workload/Synthetic.h"
@@ -456,111 +453,6 @@ TEST(IncrementalTest, ForceFullRebuildDisablesReuse) {
   EXPECT_EQ(St.CodeReplayed, 0u);
   auto Cold = coldSession(editedProgram(3, 1));
   expectSameCommitted(S, *Cold);
-}
-
-//===----------------------------------------------------------------------===//
-// Background compile lane
-//===----------------------------------------------------------------------===//
-
-/// A commit superseding an in-flight background compile abandons it and
-/// replaces the handle. The new handle delivers exactly the committed
-/// program's unit; the superseded one delivers at most the *old* program's
-/// own unit (when its compile won the race) and never anything of the new
-/// program — a stale spliced segment is unobservable by construction.
-TEST(BackgroundCompileLane, CommitSupersedesInflightCompile) {
-  obs::Counter &CompiledC =
-      obs::Registry::global().counter("runtime.code.bg.compiled");
-  obs::Counter &AbandonedC =
-      obs::Registry::global().counter("runtime.code.bg.abandoned");
-  uint64_t C0 = CompiledC.value(), A0 = AbandonedC.value();
-
-  EditSessionOptions Opts;
-  Opts.BackgroundCompile = true;
-  EditSession S(Opts);
-  commitSource(S, baseProgram());
-  auto H1 = S.codeAsync();
-  ASSERT_TRUE(H1 != nullptr);
-  auto OldProg = S.programPtr();
-  EXPECT_EQ(S.code(), nullptr) << "bg mode must not compile synchronously";
-
-  IncrementalStats St = commitSource(S, editedProgram(3, 1));
-  EXPECT_TRUE(St.Committed);
-  auto H2 = S.codeAsync();
-  ASSERT_TRUE(H2 != nullptr);
-  EXPECT_NE(H1, H2) << "commit must replace the async handle wholesale";
-
-  drainCompileLane();
-  auto Unit = H2->get();
-  ASSERT_TRUE(Unit != nullptr);
-  EXPECT_EQ(Unit->Prog, S.program());
-  if (auto Stale = H1->get())
-    EXPECT_EQ(Stale->Prog, OldProg.get())
-        << "superseded handle leaked another program's code";
-
-  // Exactly two jobs were resolved: the superseded one (compiled before
-  // the abandon won, or abandoned) and the current one (compiled).
-  EXPECT_GE(CompiledC.value() - C0, 1u);
-  EXPECT_EQ((CompiledC.value() - C0) + (AbandonedC.value() - A0), 2u);
-
-  // The delivered unit is transcript-identical to a synchronous session's.
-  auto Cold = coldSession(editedProgram(3, 1));
-  EXPECT_EQ(execTranscript(*S.program(), Unit, false),
-            execTranscript(*Cold->program(), Cold->code(), false));
-}
-
-/// A burst of commits, each superseding the last before draining: every
-/// handle only ever delivers the unit of the program it was issued for.
-TEST(BackgroundCompileLane, RapidCommitsNeverExposeStaleCode) {
-  EditSessionOptions Opts;
-  Opts.BackgroundCompile = true;
-  EditSession S(Opts);
-  commitSource(S, baseProgram());
-
-  std::vector<std::pair<std::shared_ptr<bytecode::AsyncCode>,
-                        std::shared_ptr<const pascal::Program>>>
-      Issued;
-  Issued.emplace_back(S.codeAsync(), S.programPtr());
-  for (unsigned Leaf = 0; Leaf < kLeaves; ++Leaf) {
-    commitSource(S, editedProgram(Leaf, 1 + Leaf % 2));
-    Issued.emplace_back(S.codeAsync(), S.programPtr());
-  }
-  drainCompileLane();
-
-  for (size_t K = 0; K != Issued.size(); ++K)
-    if (auto Unit = Issued[K].first->get())
-      EXPECT_EQ(Unit->Prog, Issued[K].second.get()) << "commit " << K;
-  // The live handle must have survived the burst and delivered.
-  ASSERT_TRUE(Issued.back().first->get() != nullptr);
-  EXPECT_EQ(Issued.back().first->get()->Prog, S.program());
-}
-
-/// RuntimeContext with BackgroundCompile: the first prepare enqueues on
-/// the lane (sessions get the async handle, or the finished unit if the
-/// lane already won); once published, later prepares promote the entry to
-/// a plain Code reference served from the cache.
-TEST(BackgroundCompileLane, RuntimeContextPreparePromotesFinishedCompile) {
-  obs::Registry Reg;
-  RuntimeOptions RO;
-  RO.BackgroundCompile = true;
-  RuntimeContext Ctx(&Reg, RO);
-
-  DiagnosticsEngine Diags;
-  core::GADTOptions GO;
-  auto A1 = Ctx.prepare(baseProgram(), GO, Diags);
-  ASSERT_TRUE(A1 != nullptr) << Diags.str();
-  EXPECT_TRUE(A1->Code != nullptr || A1->CodeAsync != nullptr)
-      << "bg prepare handed out neither code nor a handle";
-
-  drainCompileLane();
-  auto A2 = Ctx.prepare(baseProgram(), GO, Diags);
-  ASSERT_TRUE(A2 != nullptr);
-  ASSERT_TRUE(A2->Code != nullptr)
-      << "published compile not promoted on re-prepare";
-  EXPECT_EQ(A2->Code->Prog, A2->Prepared.get());
-
-  // Both tiers of the handed-out artifacts agree observably.
-  EXPECT_EQ(execTranscript(*A2->Prepared, A2->Code, false),
-            execTranscript(*A2->Prepared, nullptr, false));
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace gadt;
 using namespace gadt::interp;
 using namespace gadt::pascal;
@@ -357,6 +359,58 @@ TEST(InterpreterTest, DeepButBoundedRecursionSucceeds) {
                       "begin r := down(800); end.");
   ASSERT_TRUE(R.Ok) << R.Error.Message;
   EXPECT_EQ(findGlobal(R, "r")->asInt(), 800);
+}
+
+/// f(50000) under a call-depth limit of 100000: far deeper than the host
+/// stack holds the tree walker's recursive frames (it overflowed at about
+/// 2500 levels on an 8 MiB stack). The tree walker must fail the run with
+/// a diagnostic instead of crashing; the bytecode VM keeps its frames on
+/// the heap and completes. Both entry points, run() and callRoutine.
+void expectDeepRecursion(ExecTier Tier) {
+  auto Prog = compile("program p; var r: integer;"
+                      "function f(n: integer): integer;"
+                      "begin if n = 0 then f := 0"
+                      " else f := f(n - 1) + 1; end;"
+                      "begin r := f(50000); end.");
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.MaxCallDepth = 100000;
+  Opts.Tier = Tier;
+  Interpreter I(*Prog, Opts);
+  ExecResult R = I.run();
+  CallOutcome C = I.callRoutine("f", {Value::makeInt(50000)});
+  if (Tier == ExecTier::Tree) {
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.Message.find("host stack"), std::string::npos)
+        << R.Error.Message;
+    EXPECT_FALSE(C.Ok);
+    EXPECT_NE(C.Error.Message.find("host stack"), std::string::npos)
+        << C.Error.Message;
+    return;
+  }
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(findGlobal(R, "r")->asInt(), 50000);
+  ASSERT_TRUE(C.Ok) << C.Error.Message;
+  ASSERT_FALSE(C.Outputs.empty());
+  EXPECT_EQ(C.Outputs.back().V.asInt(), 50000);
+}
+
+TEST(InterpreterTest, TreeWalkerFailsHostStackExhaustionOnMainThread) {
+  expectDeepRecursion(ExecTier::Tree);
+}
+
+TEST(InterpreterTest, TreeWalkerFailsHostStackExhaustionOnThread) {
+  std::thread T([] { expectDeepRecursion(ExecTier::Tree); });
+  T.join();
+}
+
+TEST(InterpreterTest, BytecodeRunsDeepRecursionOnMainThread) {
+  expectDeepRecursion(ExecTier::Bytecode);
+}
+
+TEST(InterpreterTest, BytecodeRunsDeepRecursionOnThread) {
+  std::thread T([] { expectDeepRecursion(ExecTier::Bytecode); });
+  T.join();
 }
 
 } // namespace
