@@ -48,8 +48,9 @@ void compareRetention(const char *Label, const pascal::Program &P,
   unsigned Total = Criterion->subtreeSize();
   StaticSlice SSlice = sliceOnRoutineOutput(G, Criterion->getRoutine(),
                                             Output);
-  unsigned StaticKept =
-      countRetained(Criterion, pruneByStaticSlice(Criterion, SSlice));
+  unsigned StaticKept = countRetained(
+      Criterion,
+      pruneByStaticSlice(Criterion, SSlice, SliceSites(G, *Tree)));
   unsigned DynamicKept =
       countRetained(Criterion, dynamicSlice(Criterion, Output));
   std::printf("%-22s %-14s %9u %9u %9u\n", Label,

@@ -46,7 +46,7 @@ int main() {
 
   unsigned Before = Computs->subtreeSize();
   StaticSlice Slice = sliceOnRoutineOutput(G, Computs->getRoutine(), "r1");
-  auto Kept = pruneByStaticSlice(Computs, Slice);
+  auto Kept = pruneByStaticSlice(Computs, Slice, SliceSites(G, *Tree));
   std::string Rendered = renderPruned(Computs, Kept);
 
   std::printf("Figure 8: execution tree after slicing on computs output "

@@ -729,13 +729,61 @@ void BM_PruneStaticWide(benchmark::State &State) {
     if (N->getRoutine() == P)
       PNode = N;
   });
+  slicing::SliceSites Sites(G, *Tree);
   for (auto _ : State) {
-    auto Kept = slicing::pruneByStaticSlice(PNode, Slice);
+    auto Kept = slicing::pruneByStaticSlice(PNode, Slice, Sites);
     benchmark::DoNotOptimize(slicing::countRetained(PNode, Kept));
   }
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_PruneStaticWide)->Range(64, 512)->Complexity();
+
+/// A statically sliced top-down session down a call chain with the bug in
+/// the last routine, slices served by a warm RuntimeContext provider: every
+/// "no, error on output" answer costs one slice lookup and one prune, and
+/// the report one more lookup. A zero-latency oracle leaves the debug
+/// phase's own bookkeeping — the per-tree site table, the slice lookups,
+/// pruning and the report's candidate statements — as the measured cost.
+void BM_TopDownSlicedChain(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  workload::ProgramPair Pair = workload::chainProgram(N, N);
+  obs::Registry Reg;
+  runtime::RuntimeContext Ctx(&Reg);
+  DiagnosticsEngine Diags;
+  auto A = Ctx.prepare(Pair.Buggy, core::GADTOptions(), Diags);
+  if (!A)
+    std::abort();
+  interp::InterpOptions IOpts;
+  IOpts.Code = A->Code;
+  auto Tree = trace::buildExecTree(*A->Prepared, IOpts, {});
+  std::unordered_set<uint32_t> Bad;
+  Tree->forEachNode([&](trace::ExecNode *Node) {
+    if (Node->getRoutine() &&
+        Node->getRoutine()->getName() == Pair.BuggyRoutine)
+      for (const trace::ExecNode *Up = Node; Up; Up = Up->getParent())
+        Bad.insert(Up->getId());
+  });
+  core::LambdaOracle O(
+      [&Bad](const trace::ExecNode &Node) {
+        if (!Bad.count(Node.getId()) || Node.getOutputs().empty())
+          return core::Judgement::correct("bench");
+        return core::Judgement::incorrect(
+            "bench", std::string(Node.getOutputs().back().Name));
+      },
+      "bench");
+  core::DebuggerOptions Opts;
+  Opts.Strategy = core::SearchStrategy::TopDown;
+  Opts.Slicing = core::SliceMode::Static;
+  for (auto _ : State) {
+    core::AlgorithmicDebugger D(*Tree, O, Opts);
+    D.setSDG(A->Sdg.get());
+    D.setSliceProvider(A->Slices);
+    auto R = D.run();
+    benchmark::DoNotOptimize(R.Found);
+  }
+  State.SetComplexityN(State.range(0));
+}
+BENCHMARK(BM_TopDownSlicedChain)->Arg(47)->Arg(256)->Complexity();
 
 /// Dynamic slicing on the root output of a dependence-tracked chain: the
 /// relevant-set closure walk over the whole tree.

@@ -17,6 +17,7 @@
 #include "workload/Synthetic.h"
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 using namespace gadt;
@@ -73,7 +74,11 @@ int main() {
       StaticSlice Slice = sliceOnProgramVar(G, *Prog, Criterion);
       if (Slice.size() == 0)
         continue;
-      unsigned Sliced = static_cast<unsigned>(Slice.stmts().size());
+      std::unordered_set<const pascal::Stmt *> SlicedStmts;
+      for (uint32_t Id : Slice.nodes().ids())
+        if (const pascal::Stmt *St = G.node(Id).getStmt())
+          SlicedStmts.insert(St);
+      unsigned Sliced = static_cast<unsigned>(SlicedStmts.size());
       double Ratio = static_cast<double>(Sliced) / Total;
       SumRatio += Ratio;
       ++Measurements;

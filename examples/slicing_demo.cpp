@@ -65,11 +65,12 @@ int main() {
       Partialsums = N;
   });
 
+  SliceSites Sites(G4, *Tree);
   StaticSlice OnR1 = sliceOnRoutineOutput(
       G4, Computs->getRoutine(), "r1");
   std::printf("=== execution tree pruned on computs output r1 "
               "(Figure 8) ===\n%s\n",
-              renderPruned(Computs, pruneByStaticSlice(Computs, OnR1))
+              renderPruned(Computs, pruneByStaticSlice(Computs, OnR1, Sites))
                   .c_str());
 
   StaticSlice OnS2 = sliceOnRoutineOutput(
@@ -77,7 +78,7 @@ int main() {
   std::printf("=== execution tree pruned on partialsums output s2 "
               "(Figure 9) ===\n%s",
               renderPruned(Partialsums,
-                           pruneByStaticSlice(Partialsums, OnS2))
+                           pruneByStaticSlice(Partialsums, OnS2, Sites))
                   .c_str());
   return 0;
 }

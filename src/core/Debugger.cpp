@@ -251,7 +251,9 @@ void AlgorithmicDebugger::applySliceIfPossible(
         staticSliceFor(N.getRoutine(), WrongOutput);
     if (!Slice || Slice->size() == 0)
       return; // no formal-out vertex for this output
-    Kept = slicing::pruneByStaticSlice(&N, *Slice);
+    if (Sites.empty())
+      Sites = slicing::SliceSites(*Sdg, Tree);
+    Kept = slicing::pruneByStaticSlice(&N, *Slice, Sites);
     break;
   }
   case SliceMode::Dynamic: {
@@ -295,12 +297,11 @@ BugReport AlgorithmicDebugger::bugAt(const ExecNode *N) const {
   // the wrong output (or any output when none was singled out).
   if (Sdg && N->getRoutine()) {
     const pascal::RoutineDecl *Routine = N->getRoutine();
-    std::set<const pascal::Stmt *> InSlice;
+    std::vector<std::shared_ptr<const slicing::StaticSlice>> InSlice;
     auto Collect = [&](const std::string &Output) {
-      std::shared_ptr<const slicing::StaticSlice> Slice =
-          staticSliceFor(Routine, Output);
-      if (Slice)
-        InSlice.insert(Slice->stmts().begin(), Slice->stmts().end());
+      if (std::shared_ptr<const slicing::StaticSlice> Slice =
+              staticSliceFor(Routine, Output))
+        InSlice.push_back(std::move(Slice));
     };
     if (!R.WrongOutput.empty())
       Collect(R.WrongOutput);
@@ -311,8 +312,11 @@ BugReport AlgorithmicDebugger::bugAt(const ExecNode *N) const {
       pascal::forEachStmt(
           const_cast<pascal::CompoundStmt *>(Routine->getBody()),
           [&](pascal::Stmt *S) {
-            if (InSlice.count(S))
-              R.CandidateStmts.push_back(S);
+            for (const auto &Slice : InSlice)
+              if (Slice->containsStmt(S)) {
+                R.CandidateStmts.push_back(S);
+                return;
+              }
           });
   }
   return R;

@@ -26,6 +26,7 @@
 
 #include "analysis/SDG.h"
 #include "core/Oracle.h"
+#include "slicing/TreePruner.h"
 #include "trace/ExecTree.h"
 #include "support/NodeSet.h"
 
@@ -36,10 +37,6 @@
 #include <unordered_map>
 
 namespace gadt {
-
-namespace slicing {
-class StaticSlice;
-} // namespace slicing
 
 namespace core {
 
@@ -149,9 +146,6 @@ public:
 
   const SessionStats &stats() const { return Stats; }
 
-  /// The ids still searchable after all slicing prunes (for inspection).
-  const support::NodeSet &activeIds() const { return Active; }
-
 private:
   Judgement ask(const trace::ExecNode &N);
   /// The static slice for (R, Output): from the provider when installed,
@@ -173,6 +167,9 @@ private:
   DebuggerOptions Opts;
   const analysis::SDG *Sdg = nullptr;
   SliceProvider Slices;
+  /// Each tree node's slice-membership vertices, resolved on the first
+  /// static slice.
+  slicing::SliceSites Sites;
   support::NodeSet Active;
   /// Judgement memo. Two unit executions get one verdict when their
   /// dialogue signatures coincide; instead of keying on the rendered

@@ -39,17 +39,10 @@ IntendedProgramOracle::IntendedProgramOracle(const Program &Intended,
 
 IntendedProgramOracle::~IntendedProgramOracle() = default;
 
-const RoutineDecl *IntendedProgramOracle::resolve(support::Symbol Name) {
-  auto [It, Inserted] = Routines.try_emplace(Name.id(), nullptr);
-  if (Inserted)
-    It->second = Intended.getMain()->findRoutine(Name.str());
-  return It->second;
-}
-
 Judgement IntendedProgramOracle::judge(const ExecNode &N) {
   if (N.getKind() != UnitKind::Call || !N.getRoutine())
     return Judgement::dontKnow();
-  const RoutineDecl *Ref = resolve(N.getNameSymbol());
+  const RoutineDecl *Ref = Intended.findRoutine(N.getNameSymbol());
   if (!Ref)
     return Judgement::dontKnow();
 

@@ -23,7 +23,6 @@
 #include "pascal/AST.h"
 
 #include <memory>
-#include <unordered_map>
 
 namespace gadt {
 namespace analysis {
@@ -38,8 +37,8 @@ namespace core {
 ///
 /// The oracle stays warm across judgements: one Interpreter over the
 /// intended program serves them all (running the program's shared
-/// bytecode compile), and each queried name is resolved to its routine
-/// once.
+/// bytecode compile), and each queried name is resolved through the
+/// intended program's routine table.
 class IntendedProgramOracle : public Oracle {
 public:
   /// \p Intended is not owned and must outlive the oracle.
@@ -54,8 +53,6 @@ public:
   unsigned queriesAnswered() const { return Queries; }
 
 private:
-  /// The intended routine named \p Name, or null when it has none.
-  const pascal::RoutineDecl *resolve(support::Symbol Name);
   /// Whether \p Traced, an output of \p N that the intended routine \p Ref
   /// did not produce, records a write the intended routine would not make.
   bool isExtraWrite(const trace::ExecNode &N, const pascal::RoutineDecl *Ref,
@@ -65,8 +62,6 @@ private:
   std::string Source;
   unsigned Queries = 0;
   interp::Interpreter Exec;
-  /// Symbol id -> intended routine (null: no counterpart).
-  std::unordered_map<uint32_t, const pascal::RoutineDecl *> Routines;
   /// The intended program's side effects, built on first need (only
   /// isExtraWrite asks, and only about outputs the intended run lacks).
   std::unique_ptr<analysis::CallGraph> CG;

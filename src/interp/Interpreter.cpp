@@ -861,7 +861,7 @@ ExecResult Interpreter::run() {
 CallOutcome Interpreter::callRoutine(const std::string &Name,
                                      std::vector<Value> Args,
                                      const std::vector<Binding> &Presets) {
-  const RoutineDecl *Callee = P->Prog.getMain()->findRoutine(Name);
+  const RoutineDecl *Callee = P->Prog.findRoutine(support::Symbol(Name));
   if (!Callee) {
     CallOutcome Out;
     Out.Error = {SourceLoc(), "no routine named '" + Name + "'"};

@@ -340,16 +340,6 @@ RoutineDecl *RoutineDecl::findNested(const std::string &RoutineName) const {
   return nullptr;
 }
 
-const RoutineDecl *
-RoutineDecl::findRoutine(const std::string &RoutineName) const {
-  if (Name == RoutineName)
-    return this;
-  for (const auto &R : Nested)
-    if (const RoutineDecl *Found = R->findRoutine(RoutineName))
-      return Found;
-  return nullptr;
-}
-
 namespace {
 
 /// Bookkeeping for cloneTree: old declaration -> new declaration.
@@ -456,6 +446,10 @@ std::unique_ptr<Program> Program::clone() const {
   // program (it would be a write race).
   if (SlotsAssigned)
     assignStorageSlots(*NewP);
+  // Likewise the node numbering id-keyed consumers (the SDG's vertex
+  // groups) index by: a clone of a numbered program is numbered the same.
+  if (!NodeTable.empty())
+    assignNodeIds(*NewP);
   return NewP;
 }
 
@@ -609,6 +603,23 @@ void Program::resetCompiledCode() {
   std::lock_guard<std::mutex> Lock(CodeMu);
   for (CodeSlot &Slot : CodeSlots)
     Slot = CodeSlot();
+  Routines.clear();
+  RoutinesReady.store(false, std::memory_order_release);
+}
+
+const RoutineDecl *Program::findRoutine(support::Symbol Name) const {
+  if (!RoutinesReady.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> Lock(CodeMu);
+    if (!RoutinesReady.load(std::memory_order_relaxed)) {
+      // Preorder, so the first routine of each name keeps the slot.
+      forEachRoutine(Main.get(), [this](RoutineDecl *R) {
+        Routines.try_emplace(support::Symbol(R->getName()).id(), R);
+      });
+      RoutinesReady.store(true, std::memory_order_release);
+    }
+  }
+  auto It = Routines.find(Name.id());
+  return It == Routines.end() ? nullptr : It->second;
 }
 
 uint32_t gadt::pascal::assignStorageSlots(Program &P) {

@@ -23,13 +23,16 @@
 #include "pascal/Type.h"
 #include "support/Casting.h"
 #include "support/SourceLoc.h"
+#include "support/Symbols.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace gadt {
@@ -703,10 +706,6 @@ public:
   VarDecl *findLocal(const std::string &Name) const;
   /// Looks up an immediately nested routine by lowercase name.
   RoutineDecl *findNested(const std::string &Name) const;
-  /// Looks up a routine by lowercase name in the tree rooted here (this
-  /// routine included), depth-first in preorder; the first match wins.
-  const RoutineDecl *findRoutine(const std::string &Name) const;
-
   /// Deep copy of the whole routine tree. Cross references inside the clone
   /// (VarRef decls, call targets, var owners) are remapped to the cloned
   /// declarations, so the result is a self-contained program tree.
@@ -811,9 +810,16 @@ public:
   /// too, so the tree-tier fallback is also decided once.
   CodePtr compiledCode(bool Checked,
                        const std::function<CodePtr()> &Build) const;
-  /// Forgets both cached compiles. A compile is only valid for the storage
-  /// layout it was built against, so assignStorageSlots calls this.
+  /// Forgets both cached compiles and the routine table. A compile is only
+  /// valid for the storage layout it was built against, so
+  /// assignStorageSlots calls this.
   void resetCompiledCode();
+
+  /// The routine named \p Name — the first in preorder when nested scopes
+  /// reuse a name — from a symbol-id table built on first use and kept
+  /// until the next resetCompiledCode; concurrent first lookups build it
+  /// once.
+  const RoutineDecl *findRoutine(support::Symbol Name) const;
 
 private:
   std::unique_ptr<TypeContext> Types;
@@ -828,6 +834,10 @@ private:
   };
   mutable std::mutex CodeMu;
   mutable CodeSlot CodeSlots[2]; ///< [Checked]
+  /// Symbol id -> routine; written under CodeMu, published by
+  /// RoutinesReady.
+  mutable std::unordered_map<uint32_t, const RoutineDecl *> Routines;
+  mutable std::atomic<bool> RoutinesReady{false};
 
 public:
   /// The context actually used for type creation (shared for clones).

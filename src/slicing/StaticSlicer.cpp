@@ -10,28 +10,6 @@ using namespace gadt::slicing;
 using namespace gadt::analysis;
 using namespace gadt::pascal;
 
-const StaticSlice::Views &StaticSlice::materializeViews() const {
-  static const Views Empty;
-  if (!Cache)
-    return Empty;
-  std::call_once(Cache->Once, [this] {
-    Views &V = Cache->V;
-    for (uint32_t Id : Ids.ids()) {
-      const SDGNode &N = G->node(Id);
-      if (N.getStmt())
-        V.Stmts.insert(N.getStmt());
-      if (N.getRoutine())
-        V.Routines.insert(N.getRoutine());
-      if (N.getVar())
-        V.Vars.insert(N.getVar());
-      if (N.getCall() && N.getCall()->Site.CallExpr)
-        V.CallExprs.insert(N.getCall()->Site.CallExpr);
-    }
-    Cache->Ready.store(true, std::memory_order_release);
-  });
-  return Cache->V;
-}
-
 StaticSlice
 gadt::slicing::backwardSlice(const SDG &G,
                              const std::vector<SDGNodeId> &Criteria) {
@@ -74,7 +52,6 @@ gadt::slicing::backwardSlice(const SDG &G,
   Result.G = &G;
   Result.Ids = std::move(Mark);
   Result.Count = Order.size();
-  Result.Cache = std::make_shared<StaticSlice::Lazy>();
   return Result;
 }
 
@@ -84,7 +61,6 @@ StaticSlice gadt::slicing::sliceFromNodes(const SDG &G,
   Result.G = &G;
   Result.Count = Ids.size();
   Result.Ids = std::move(Ids);
-  Result.Cache = std::make_shared<StaticSlice::Lazy>();
   return Result;
 }
 

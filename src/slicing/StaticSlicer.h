@@ -14,9 +14,9 @@
 ///
 /// Both phases run over the SDG's CSR in-edge arrays with a dense id
 /// bitset for the visited set, so a slice costs two adjacency sweeps and
-/// no node allocations. A StaticSlice therefore holds just the id set;
-/// the statement/routine/variable views consumers filter with are
-/// materialized lazily (and thread-safely) on first access.
+/// no node allocations. A StaticSlice is just that id set: every
+/// statement, call or routine membership question is a bit test over the
+/// vertex groups the SDG indexes when it is built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,57 +26,50 @@
 #include "analysis/SDG.h"
 #include "support/NodeSet.h"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace gadt {
 namespace slicing {
 
-/// The result of a slice: the SDG vertex ids in the slice, with lazy
-/// convenience views at statement and routine granularity. Copies are
-/// cheap and share the materialized views.
+/// The result of a slice: the SDG vertex ids in the slice. Statement,
+/// call and routine membership are id queries against the graph's vertex
+/// groups.
 class StaticSlice {
 public:
   /// An empty slice attached to no graph.
   StaticSlice() = default;
 
-  bool containsNode(analysis::SDGNodeId Id) const { return Ids.contains(Id); }
+  /// True when any of \p Vs is in the slice.
+  bool containsAny(analysis::SDGVertexSpan Vs) const {
+    for (analysis::SDGNodeId V : Vs)
+      if (Ids.contains(V))
+        return true;
+    return false;
+  }
   /// True when any vertex of \p S (statement, predicate or one of its
   /// actuals) is in the slice.
   bool containsStmt(const pascal::Stmt *S) const {
-    return views().Stmts.count(S) != 0;
+    return G && containsAny(G->stmtVertices(S));
   }
   /// True when any vertex of routine \p R is in the slice.
   bool containsRoutine(const pascal::RoutineDecl *R) const {
-    return views().Routines.count(R) != 0;
-  }
-  /// True when variable \p V appears as a formal/actual vertex of some
-  /// sliced node (used to retain declarations when projecting).
-  bool mentionsVar(const pascal::VarDecl *V) const {
-    return views().Vars.count(V) != 0;
+    if (!G)
+      return false;
+    auto [Begin, End] = G->vertexRange(R);
+    return Ids.countRange(Begin, End) != 0;
   }
   /// True when the specific expression-position call \p E has a vertex in
   /// the slice (finer-grained than containsStmt for statements that make
   /// several calls).
   bool containsCallExpr(const pascal::Expr *E) const {
-    return views().CallExprs.count(E) != 0;
+    return G && containsAny(G->callExprVertices(E));
   }
 
   /// The sliced vertex ids (indices into graph()->nodes()).
   const support::NodeSet &nodes() const { return Ids; }
   /// The SDG the ids refer to; null for a default-constructed slice.
   const analysis::SDG *graph() const { return G; }
-
-  const std::unordered_set<const pascal::Stmt *> &stmts() const {
-    return views().Stmts;
-  }
-  const std::unordered_set<const pascal::RoutineDecl *> &routines() const {
-    return views().Routines;
-  }
 
   size_t size() const { return Count; }
 
@@ -87,34 +80,9 @@ private:
   friend StaticSlice sliceFromNodes(const analysis::SDG &,
                                     support::NodeSet);
 
-  struct Views {
-    std::unordered_set<const pascal::Stmt *> Stmts;
-    std::unordered_set<const pascal::RoutineDecl *> Routines;
-    std::unordered_set<const pascal::VarDecl *> Vars;
-    std::unordered_set<const pascal::Expr *> CallExprs;
-  };
-  /// Heap cell behind a shared_ptr so slices stay copyable/movable and
-  /// copies share one materialization; call_once makes first access safe
-  /// when a cached const slice is read from several debugger threads.
-  /// Ready mirrors the once_flag so the per-query fast path is an inlined
-  /// acquire load instead of a library call — containsStmt sits in the
-  /// tree pruner's per-node loop.
-  struct Lazy {
-    std::once_flag Once;
-    std::atomic<bool> Ready{false};
-    Views V;
-  };
-  const Views &views() const {
-    if (Cache && Cache->Ready.load(std::memory_order_acquire))
-      return Cache->V;
-    return materializeViews();
-  }
-  const Views &materializeViews() const;
-
   const analysis::SDG *G = nullptr;
   support::NodeSet Ids;
   size_t Count = 0;
-  std::shared_ptr<Lazy> Cache;
 };
 
 /// Computes the backward slice of \p G from \p Criteria.

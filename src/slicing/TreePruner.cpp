@@ -2,37 +2,38 @@
 
 #include "slicing/TreePruner.h"
 
+#include <tuple>
+
 using namespace gadt;
 using namespace gadt::slicing;
 using namespace gadt::trace;
 
-namespace {
-
-/// True when the call/loop site of \p N is inside the slice. The root of a
-/// pruning request is always retained regardless.
-bool siteInSlice(const ExecNode *N, const StaticSlice &Slice) {
-  switch (N->getKind()) {
-  case interp::UnitKind::Call: {
-    // A call entered through a statement call or an expression call: the
-    // containing statement's vertices carry the slice membership.
-    if (N->getCallStmt())
-      return Slice.containsStmt(N->getCallStmt());
-    if (N->getCallExpr())
-      return Slice.containsCallExpr(N->getCallExpr());
-    // The root (program) node has no call site.
-    return Slice.containsRoutine(N->getRoutine());
+SliceSites::SliceSites(const analysis::SDG &G, const ExecTree &T)
+    : Sites(T.maxNodeId() + 1) {
+  for (uint32_t Id = 1; Id <= T.maxNodeId(); ++Id) {
+    const ExecNode *N = T.node(Id);
+    analysis::SDGVertexSpan V;
+    if (N->getKind() != interp::UnitKind::Call)
+      V = N->getLoopStmt() ? G.stmtVertices(N->getLoopStmt()) : V;
+    else if (N->getCallStmt())
+      V = G.stmtVertices(N->getCallStmt());
+    else if (N->getCallExpr())
+      V = G.callExprVertices(N->getCallExpr());
+    else
+      std::tie(Sites[Id].Begin, Sites[Id].End) =
+          G.vertexRange(N->getRoutine());
+    // A statement's vertices are usually consecutive ids; such a group is
+    // tested as one range, a few masked words, instead of id by id.
+    if (!V.empty() && V.back() - V.front() + 1 == V.size())
+      Sites[Id] = {{}, V.front(), V.back() + 1};
+    else
+      Sites[Id].Vertices = V;
   }
-  case interp::UnitKind::Loop:
-  case interp::UnitKind::Iteration:
-    return N->getLoopStmt() && Slice.containsStmt(N->getLoopStmt());
-  }
-  return false;
 }
 
-} // namespace
-
 support::NodeSet gadt::slicing::pruneByStaticSlice(const ExecNode *Root,
-                                          const StaticSlice &Slice) {
+                                                   const StaticSlice &Slice,
+                                                   const SliceSites &Sites) {
   support::NodeSet Kept;
   if (!Root)
     return Kept;
@@ -44,7 +45,7 @@ support::NodeSet gadt::slicing::pruneByStaticSlice(const ExecNode *Root,
   uint32_t End = Root->subtreeEnd();
   for (uint32_t Id = Root->getId() + 1; Id < End;) {
     const ExecNode *N = Root->nodeAt(Id);
-    if (Kept.contains(N->getParentId()) && siteInSlice(N, Slice)) {
+    if (Kept.contains(N->getParentId()) && Sites.inSlice(Id, Slice)) {
       Kept.insert(Id);
       ++Id;
     } else {

@@ -177,18 +177,6 @@ public:
     return Freed;
   }
 
-  /// Drops the entry for \p K if it is ready. Returns its byte weight.
-  size_t erase(const Key &K) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Slots.find(K);
-    if (It == Slots.end() || !It->second->Ready)
-      return 0;
-    size_t Freed = It->second->Bytes;
-    Total -= Freed;
-    Slots.erase(It);
-    return Freed;
-  }
-
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
 

@@ -205,4 +205,24 @@ TEST(SemaTest, PaperProgramsPassSema) {
   EXPECT_TRUE(check(workload::ArrsumProgram));
 }
 
+TEST(SemaTest, RoutineTableFindsTheFirstRoutineInPreorder) {
+  // Two nested routines named b: the table answers with the one nested in
+  // a, the first in preorder; a clone answers with its own declarations.
+  auto Prog = check("program p;"
+                    "procedure a; procedure b; begin end; begin b; end;"
+                    "procedure c; procedure b; begin end; begin b; end;"
+                    "begin a; c; end.");
+  ASSERT_TRUE(Prog);
+  const RoutineDecl *Main = Prog->getMain();
+  const RoutineDecl *A = Main->findNested("a"), *C = Main->findNested("c");
+  EXPECT_EQ(Prog->findRoutine(support::Symbol("p")), Main);
+  EXPECT_EQ(Prog->findRoutine(support::Symbol("a")), A);
+  EXPECT_EQ(Prog->findRoutine(support::Symbol("b")), A->findNested("b"));
+  EXPECT_EQ(Prog->findRoutine(support::Symbol("c")), C);
+  EXPECT_EQ(Prog->findRoutine(support::Symbol("nosuch")), nullptr);
+  auto Clone = Prog->clone();
+  EXPECT_EQ(Clone->findRoutine(support::Symbol("c")),
+            Clone->getMain()->findNested("c"));
+}
+
 } // namespace
