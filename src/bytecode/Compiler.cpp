@@ -261,10 +261,9 @@ private:
   const CodeReusePlan *Reuse = nullptr;
   CompiledProgram *Out = nullptr;
 
-  /// Per-compile symbol-id cache: interning goes through the process-wide
-  /// pool's shared lock and string hash; a compile re-interns the same
-  /// parameter and loop-unit names once per call site / loop, so one local
-  /// probe per repeat kills that traffic.
+  /// Per-compile symbol-id cache for the names of debug rows: interning
+  /// goes through the process-wide pool's shared lock and string hash, and a
+  /// compile names the same variables at many sites.
   std::unordered_map<std::string, support::Symbol> SymCache;
   support::Symbol internSym(const std::string &S) {
     auto It = SymCache.find(S);
@@ -632,7 +631,6 @@ private:
       const VarDecl *P = Params[I].get();
       ArgDesc AD;
       AD.Param = P;
-      AD.Name = internSym(P->getName());
       if (P->isReference()) {
         AD.IsRef = true;
         const auto *VR = dyn_cast<VarRefExpr>(Args[I].get());
@@ -778,7 +776,7 @@ private:
   }
 
   void compileWhile(const WhileStmt *WS) {
-    uint32_t LoopIdx = addLoop(LoopInfo::Kind::While, WS, WS->getUnitName(),
+    uint32_t LoopIdx = addLoop(LoopInfo::Kind::While, WS, WS->getUnitSymbol(),
                                WS->getLoc());
     emit(Op::LoopEnter, 0, 0, 0, LoopIdx);
     uint32_t Top = here();
@@ -795,7 +793,7 @@ private:
   }
 
   void compileRepeat(const RepeatStmt *RS) {
-    uint32_t LoopIdx = addLoop(LoopInfo::Kind::Repeat, RS, RS->getUnitName(),
+    uint32_t LoopIdx = addLoop(LoopInfo::Kind::Repeat, RS, RS->getUnitSymbol(),
                                RS->getLoc());
     emit(Op::LoopEnter, 0, 0, 0, LoopIdx);
     uint32_t Top = here();
@@ -813,7 +811,7 @@ private:
 
   void compileFor(const ForStmt *FS) {
     const auto *VR = cast<VarRefExpr>(FS->getLoopVar());
-    uint32_t LoopIdx = addLoop(LoopInfo::Kind::For, FS, FS->getUnitName(),
+    uint32_t LoopIdx = addLoop(LoopInfo::Kind::For, FS, FS->getUnitSymbol(),
                                FS->getLoc());
     if (!Ok)
       return;
@@ -879,12 +877,12 @@ private:
       emit(Op::WriteNl);
   }
 
-  uint32_t addLoop(LoopInfo::Kind K, const Stmt *S, const std::string &Name,
+  uint32_t addLoop(LoopInfo::Kind K, const Stmt *S, support::Symbol Name,
                    SourceLoc Loc) {
     LoopInfo LI;
     LI.K = K;
     LI.Stmt = S;
-    LI.UnitName = internSym(Name);
+    LI.UnitName = Name;
     LI.Loc = Loc;
     Out->Loops.push_back(LI);
     return static_cast<uint32_t>(Out->Loops.size() - 1);
@@ -1096,21 +1094,21 @@ private:
         const auto *W = dyn_cast<WhileStmt>(NS);
         if (!W)
           return false;
-        LI.UnitName = internSym(W->getUnitName());
+        LI.UnitName = W->getUnitSymbol();
         break;
       }
       case LoopInfo::Kind::Repeat: {
         const auto *R = dyn_cast<RepeatStmt>(NS);
         if (!R)
           return false;
-        LI.UnitName = internSym(R->getUnitName());
+        LI.UnitName = R->getUnitSymbol();
         break;
       }
       case LoopInfo::Kind::For: {
         const auto *F = dyn_cast<ForStmt>(NS);
         if (!F)
           return false;
-        LI.UnitName = internSym(F->getUnitName());
+        LI.UnitName = F->getUnitSymbol();
         break;
       }
       }

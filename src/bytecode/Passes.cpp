@@ -6,6 +6,8 @@
 
 #include "bytecode/Passes.h"
 
+#include "interp/Arith.h"
+
 #include <algorithm>
 #include <unordered_map>
 
@@ -107,27 +109,27 @@ bool foldBin(Op K, const Value &L, const Value &R, Value &Out) {
   case Op::Add:
     if (!II())
       return false;
-    Out = Value::makeInt(L.asInt() + R.asInt());
+    Out = Value::makeInt(arith::add(L.asInt(), R.asInt()));
     return true;
   case Op::Sub:
     if (!II())
       return false;
-    Out = Value::makeInt(L.asInt() - R.asInt());
+    Out = Value::makeInt(arith::sub(L.asInt(), R.asInt()));
     return true;
   case Op::Mul:
     if (!II())
       return false;
-    Out = Value::makeInt(L.asInt() * R.asInt());
+    Out = Value::makeInt(arith::mul(L.asInt(), R.asInt()));
     return true;
   case Op::DivOp:
     if (!II() || R.asInt() == 0)
       return false;
-    Out = Value::makeInt(L.asInt() / R.asInt());
+    Out = Value::makeInt(arith::div(L.asInt(), R.asInt()));
     return true;
   case Op::ModOp:
     if (!II() || R.asInt() == 0)
       return false;
-    Out = Value::makeInt(L.asInt() % R.asInt());
+    Out = Value::makeInt(arith::mod(L.asInt(), R.asInt()));
     return true;
   case Op::EqI:
     if (!II())
@@ -301,7 +303,7 @@ uint32_t foldConstants(std::vector<Instr> &Code, uint32_t NumRegs,
           if (rewriteToConst(I, Value::makeBool(!V.asBool())))
             break;
         } else if (I.Code == Op::NegI && V.isInt()) {
-          if (rewriteToConst(I, Value::makeInt(-V.asInt())))
+          if (rewriteToConst(I, Value::makeInt(arith::neg(V.asInt()))))
             break;
         }
       }

@@ -14,6 +14,8 @@
 
 #include "bytecode/VM.h"
 
+#include "interp/Arith.h"
+
 using namespace gadt;
 using namespace gadt::bytecode;
 using namespace gadt::interp;
@@ -48,7 +50,6 @@ struct VMFrame {
   Activation *CallerAct = nullptr;
   size_t LoopBase = 0; ///< VMState::Loops size at frame entry
   const pascal::RoutineDecl *Callee = nullptr;
-  std::vector<Binding> EntryInputs;
 };
 
 } // namespace
@@ -81,6 +82,24 @@ struct VMState {
 
 VMState *createVMState() { return new VMState(); }
 void destroyVMState(VMState *VS) { delete VS; }
+
+size_t clearVMState(VMState &VS) {
+  for (Value &V : VS.Regs)
+    V.poolReset();
+  VS.Depth = 0;
+  VS.Loops.clear();
+  VS.RefScratch.clear();
+  size_t Bytes = VS.Regs.capacity() * sizeof(Value) +
+                 VS.Frames.capacity() * sizeof(VMFrame) +
+                 VS.Loops.capacity() * sizeof(LoopState) +
+                 VS.RefScratch.capacity() * sizeof(CellRef);
+  for (const std::unique_ptr<Activation> &A : VS.ActPool) {
+    A->CtrlStack.clear();
+    Bytes += sizeof(Activation) + A->Slots.capacity() * sizeof(CellRef) +
+             A->CtrlStack.capacity() * sizeof(DepSet);
+  }
+  return Bytes;
+}
 
 } // namespace bytecode
 } // namespace gadt
@@ -156,8 +175,8 @@ void unwindAll(ExecState &S, VMState &VS, VMFrame *F) {
       return;
     --S.CallDepth;
     Value Result;
-    S.finishCallUnit(*F->Act, F->Callee, std::move(F->EntryInputs), F->NodeId,
-                     F->CallerAct, nullptr, &Result);
+    S.finishCallUnit(*F->Act, F->Callee, F->NodeId, F->CallerAct, nullptr,
+                     &Result);
     S.freeActivationCells(*F->Act);
     --VS.Depth;
     F = &VS.Frames[VS.Depth - 1];
@@ -197,11 +216,11 @@ bool evalCmp(Op K, const Value &L, const Value &R) {
 Value evalBin(Op K, const Value &L, const Value &R) {
   switch (K) {
   case Op::Add:
-    return Value::makeInt(L.asInt() + R.asInt());
+    return Value::makeInt(arith::add(L.asInt(), R.asInt()));
   case Op::Sub:
-    return Value::makeInt(L.asInt() - R.asInt());
+    return Value::makeInt(arith::sub(L.asInt(), R.asInt()));
   case Op::Mul:
-    return Value::makeInt(L.asInt() * R.asInt());
+    return Value::makeInt(arith::mul(L.asInt(), R.asInt()));
   default:
     return Value::makeBool(evalCmp(K, L, R));
   }
@@ -271,7 +290,6 @@ void enterBaseFrame(const CompiledProgram &CP, VMState &VS,
   F.LoopBase = 0;
   F.Callee = CP.Routines[RoutineIdx].Routine;
   F.NodeId = NodeId;
-  F.EntryInputs.clear();
   if (VS.Regs.size() < CP.Routines[RoutineIdx].NumRegs)
     VS.Regs.resize(CP.Routines[RoutineIdx].NumRegs);
 }
@@ -300,8 +318,8 @@ ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
 }
 
 void bytecode::callRoutine(ExecState &S, const CompiledProgram &CP,
-                           VMState &VS, std::vector<Binding> EntryInputs,
-                           uint64_t Watermark, std::vector<Binding> &Outputs) {
+                           VMState &VS, uint64_t Watermark,
+                           std::vector<Binding> &Outputs) {
   Activation &Act = S.EntryCallee;
   const pascal::RoutineDecl *Callee = Act.R;
   uint32_t Idx = 0;
@@ -321,6 +339,5 @@ void bytecode::callRoutine(ExecState &S, const CompiledProgram &CP,
   dispatch(S, CP, VS);
   --S.CallDepth;
   Value Result;
-  S.finishCallUnit(Act, Callee, std::move(EntryInputs), NodeId, nullptr,
-                   &Outputs, &Result);
+  S.finishCallUnit(Act, Callee, NodeId, nullptr, &Outputs, &Result);
 }

@@ -27,6 +27,10 @@ struct VMState;
 
 VMState *createVMState();
 void destroyVMState(VMState *);
+/// Releases every value \p VS holds from its last run, keeping the stacks'
+/// capacity, and returns the bytes that capacity takes — so an idle state
+/// can be kept for the next interpreter on the thread.
+size_t clearVMState(VMState &VS);
 
 /// Executes the whole program. \p S must be freshly reset by the caller's
 /// entry point *except* for Arena/FreeList pool state; this mirrors
@@ -39,8 +43,8 @@ interp::ExecResult run(interp::ExecState &S, const CompiledProgram &CP,
 /// \p Watermark, runs as the VM's base frame. Raises the same events and
 /// collects the same \p Outputs as the tree walker's callRoutine.
 void callRoutine(interp::ExecState &S, const CompiledProgram &CP,
-                 VMState &VS, std::vector<interp::Binding> EntryInputs,
-                 uint64_t Watermark, std::vector<interp::Binding> &Outputs);
+                 VMState &VS, uint64_t Watermark,
+                 std::vector<interp::Binding> &Outputs);
 
 } // namespace bytecode
 } // namespace gadt

@@ -85,7 +85,7 @@ uint64_t hashMix(uint64_t H, uint64_t V) {
 bool hasResultBinding(const ExecNode &N) {
   return N.getRoutine() && N.getRoutine()->isFunction() &&
          !N.getOutputs().empty() &&
-         N.getOutputs().back().Name == N.getRoutine()->getName();
+         N.getOutputs().back().Name == N.getRoutine()->getNameSymbol();
 }
 
 uint64_t hashValueRender(uint64_t H, const interp::Value &V) {
@@ -136,8 +136,8 @@ bool valueRenderEqual(const interp::Value &A, const interp::Value &B) {
   return false;
 }
 
-bool bindingsRenderEqual(const std::vector<interp::Binding> &A,
-                         const std::vector<interp::Binding> &B) {
+bool bindingsRenderEqual(std::span<const interp::Binding> A,
+                         std::span<const interp::Binding> B) {
   if (A.size() != B.size())
     return false;
   for (size_t I = 0; I < A.size(); ++I)
@@ -227,13 +227,19 @@ AlgorithmicDebugger::activeSubtreeSize(const ExecNode *N) const {
 }
 
 std::shared_ptr<const slicing::StaticSlice>
-AlgorithmicDebugger::staticSliceFor(const pascal::RoutineDecl *R,
+AlgorithmicDebugger::staticSliceFor(const ExecNode &N,
                                     const std::string &Output) const {
   if (!Sdg)
     return nullptr;
-  if (Slices)
-    if (std::shared_ptr<const slicing::StaticSlice> S = Slices(R, Output))
+  const pascal::RoutineDecl *R = N.getRoutine();
+  if (Slices) {
+    // An answer names one of the node's outputs: copy that binding's
+    // symbol rather than interning the name again.
+    const interp::Binding *B = N.findOutput(Output);
+    if (std::shared_ptr<const slicing::StaticSlice> S =
+            Slices(R, B ? B->Name : support::Symbol(Output)))
       return S;
+  }
   return std::make_shared<const slicing::StaticSlice>(
       slicing::sliceOnRoutineOutput(*Sdg, R, Output));
 }
@@ -248,7 +254,7 @@ void AlgorithmicDebugger::applySliceIfPossible(
     if (!Sdg || !N.getRoutine())
       return;
     std::shared_ptr<const slicing::StaticSlice> Slice =
-        staticSliceFor(N.getRoutine(), WrongOutput);
+        staticSliceFor(N, WrongOutput);
     if (!Slice || Slice->size() == 0)
       return; // no formal-out vertex for this output
     if (Sites.empty())
@@ -300,7 +306,7 @@ BugReport AlgorithmicDebugger::bugAt(const ExecNode *N) const {
     std::vector<std::shared_ptr<const slicing::StaticSlice>> InSlice;
     auto Collect = [&](const std::string &Output) {
       if (std::shared_ptr<const slicing::StaticSlice> Slice =
-              staticSliceFor(Routine, Output))
+              staticSliceFor(*N, Output))
         InSlice.push_back(std::move(Slice));
     };
     if (!R.WrongOutput.empty())

@@ -148,11 +148,10 @@ public:
 
 private:
   Judgement ask(const trace::ExecNode &N);
-  /// The static slice for (R, Output): from the provider when installed,
-  /// computed locally otherwise. Null without an SDG.
+  /// The static slice for (N's routine, Output): from the provider when
+  /// installed, computed locally otherwise. Null without an SDG.
   std::shared_ptr<const slicing::StaticSlice>
-  staticSliceFor(const pascal::RoutineDecl *R,
-                 const std::string &Output) const;
+  staticSliceFor(const trace::ExecNode &N, const std::string &Output) const;
   void applySliceIfPossible(const trace::ExecNode &N,
                             const std::string &WrongOutput);
   unsigned activeSubtreeSize(const trace::ExecNode *N) const;

@@ -317,8 +317,8 @@ StmtPtr EmptyStmt::clone() const {
 
 std::string RoutineDecl::qualifiedName() const {
   if (!Parent)
-    return Name;
-  return Parent->qualifiedName() + "." + Name;
+    return getName();
+  return Parent->qualifiedName() + "." + getName();
 }
 
 VarDecl *RoutineDecl::findLocal(const std::string &VarName) const {
@@ -349,15 +349,16 @@ struct CloneMaps {
 };
 
 std::unique_ptr<VarDecl> cloneVar(const VarDecl &V, CloneMaps &Maps) {
-  auto NewV = std::make_unique<VarDecl>(V.getLoc(), V.getName(), V.getType(),
-                                        V.getVarKind(), V.getMode());
+  auto NewV =
+      std::make_unique<VarDecl>(V.getLoc(), V.getNameSymbol(), V.getType(),
+                                V.getVarKind(), V.getMode());
   Maps.Vars[&V] = NewV.get();
   return NewV;
 }
 
 std::unique_ptr<RoutineDecl> cloneRoutineStructure(const RoutineDecl &R,
                                                    CloneMaps &Maps) {
-  auto NewR = std::make_unique<RoutineDecl>(R.getLoc(), R.getName(),
+  auto NewR = std::make_unique<RoutineDecl>(R.getLoc(), R.getNameSymbol(),
                                             R.isFunction(), R.getReturnType());
   Maps.Routines[&R] = NewR.get();
   for (const auto &P : R.getParams()) {
@@ -613,7 +614,7 @@ const RoutineDecl *Program::findRoutine(support::Symbol Name) const {
     if (!RoutinesReady.load(std::memory_order_relaxed)) {
       // Preorder, so the first routine of each name keeps the slot.
       forEachRoutine(Main.get(), [this](RoutineDecl *R) {
-        Routines.try_emplace(support::Symbol(R->getName()).id(), R);
+        Routines.try_emplace(R->getNameSymbol().id(), R);
       });
       RoutinesReady.store(true, std::memory_order_release);
     }

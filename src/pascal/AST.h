@@ -404,8 +404,9 @@ public:
   /// Mutable body slot for transformation passes.
   StmtPtr &bodySlot() { return Body; }
 
-  const std::string &getUnitName() const { return UnitName; }
-  void setUnitName(std::string N) { UnitName = std::move(N); }
+  const std::string &getUnitName() const { return UnitName.str(); }
+  support::Symbol getUnitSymbol() const { return UnitName; }
+  void setUnitName(support::Symbol N) { UnitName = N; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->getKind() == Kind::While; }
@@ -413,7 +414,7 @@ public:
 private:
   ExprPtr Cond;
   StmtPtr Body;
-  std::string UnitName;
+  support::Symbol UnitName;
 };
 
 /// `repeat s1; ... until cond`.
@@ -426,8 +427,9 @@ public:
   std::vector<StmtPtr> &getBody() { return Body; }
   Expr *getCond() const { return Cond.get(); }
 
-  const std::string &getUnitName() const { return UnitName; }
-  void setUnitName(std::string N) { UnitName = std::move(N); }
+  const std::string &getUnitName() const { return UnitName.str(); }
+  support::Symbol getUnitSymbol() const { return UnitName; }
+  void setUnitName(support::Symbol N) { UnitName = N; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Repeat; }
@@ -435,7 +437,7 @@ public:
 private:
   std::vector<StmtPtr> Body;
   ExprPtr Cond;
-  std::string UnitName;
+  support::Symbol UnitName;
 };
 
 /// `for v := from to|downto to do body`.
@@ -456,8 +458,9 @@ public:
   /// Mutable body slot for transformation passes.
   StmtPtr &bodySlot() { return Body; }
 
-  const std::string &getUnitName() const { return UnitName; }
-  void setUnitName(std::string N) { UnitName = std::move(N); }
+  const std::string &getUnitName() const { return UnitName.str(); }
+  support::Symbol getUnitSymbol() const { return UnitName; }
+  void setUnitName(support::Symbol N) { UnitName = N; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->getKind() == Kind::For; }
@@ -468,7 +471,7 @@ private:
   ExprPtr To;
   bool Downward;
   StmtPtr Body;
-  std::string UnitName;
+  support::Symbol UnitName;
 };
 
 /// A procedure call statement.
@@ -595,12 +598,15 @@ class VarDecl {
 public:
   enum class VarKind : uint8_t { Local, Param, Result };
 
-  VarDecl(SourceLoc Loc, std::string Name, const Type *Ty, VarKind VK,
+  VarDecl(SourceLoc Loc, support::Symbol Name, const Type *Ty, VarKind VK,
           ParamMode Mode = ParamMode::Value)
-      : Loc(Loc), Name(std::move(Name)), Ty(Ty), VK(VK), Mode(Mode) {}
+      : Loc(Loc), Name(Name), Ty(Ty), VK(VK), Mode(Mode) {}
 
   SourceLoc getLoc() const { return Loc; }
-  const std::string &getName() const { return Name; }
+  const std::string &getName() const { return Name.str(); }
+  /// The name, interned once at declaration: bindings and lookups copy
+  /// this instead of interning the string again.
+  support::Symbol getNameSymbol() const { return Name; }
   const Type *getType() const { return Ty; }
   VarKind getVarKind() const { return VK; }
   bool isParam() const { return VK == VarKind::Param; }
@@ -631,7 +637,7 @@ public:
 
 private:
   SourceLoc Loc;
-  std::string Name;
+  support::Symbol Name;
   const Type *Ty;
   VarKind VK;
   ParamMode Mode;
@@ -646,17 +652,17 @@ private:
 /// global variables and its body is the main block.
 class RoutineDecl {
 public:
-  RoutineDecl(SourceLoc Loc, std::string Name, bool IsFunction,
+  RoutineDecl(SourceLoc Loc, support::Symbol Name, bool IsFunction,
               const Type *ReturnType)
-      : Loc(Loc), Name(std::move(Name)), IsFunction(IsFunction),
-        ReturnType(ReturnType) {}
+      : Loc(Loc), Name(Name), IsFunction(IsFunction), ReturnType(ReturnType) {}
 
   RoutineDecl(const RoutineDecl &) = delete;
   RoutineDecl &operator=(const RoutineDecl &) = delete;
 
   SourceLoc getLoc() const { return Loc; }
-  const std::string &getName() const { return Name; }
-  void setName(std::string N) { Name = std::move(N); }
+  const std::string &getName() const { return Name.str(); }
+  /// The name, interned once at declaration (see VarDecl::getNameSymbol).
+  support::Symbol getNameSymbol() const { return Name; }
   bool isFunction() const { return IsFunction; }
   const Type *getReturnType() const { return ReturnType; }
   bool isProgram() const { return Parent == nullptr; }
@@ -743,7 +749,7 @@ public:
 
 private:
   SourceLoc Loc;
-  std::string Name;
+  support::Symbol Name;
   bool IsFunction;
   const Type *ReturnType; // null for procedures and the program
   RoutineDecl *Parent = nullptr;

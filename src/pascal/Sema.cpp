@@ -67,7 +67,7 @@ bool SemaPass::run() {
 bool SemaPass::checkRoutineTree(RoutineDecl *R) {
   // Create the function-result pseudo-variable before any body is checked.
   if (R->isFunction() && !R->getResultVar()) {
-    auto RV = std::make_unique<VarDecl>(R->getLoc(), R->getName(),
+    auto RV = std::make_unique<VarDecl>(R->getLoc(), R->getNameSymbol(),
                                         R->getReturnType(),
                                         VarDecl::VarKind::Result);
     RV->setOwner(R);

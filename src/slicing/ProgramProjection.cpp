@@ -68,7 +68,7 @@ StmtPtr projectStmt(const Stmt *S, const StaticSlice &Slice) {
     auto Out = std::make_unique<WhileStmt>(WS->getLoc(),
                                            WS->getCond()->clone(),
                                            std::move(Body));
-    Out->setUnitName(WS->getUnitName());
+    Out->setUnitName(WS->getUnitSymbol());
     return Out;
   }
 
@@ -82,7 +82,7 @@ StmtPtr projectStmt(const Stmt *S, const StaticSlice &Slice) {
       return nullptr;
     auto Out = std::make_unique<RepeatStmt>(RS->getLoc(), std::move(Kept),
                                             RS->getCond()->clone());
-    Out->setUnitName(RS->getUnitName());
+    Out->setUnitName(RS->getUnitSymbol());
     return Out;
   }
 
@@ -96,7 +96,7 @@ StmtPtr projectStmt(const Stmt *S, const StaticSlice &Slice) {
     auto Out = std::make_unique<ForStmt>(
         FS->getLoc(), FS->getLoopVar()->clone(), FS->getFrom()->clone(),
         FS->getTo()->clone(), FS->isDownward(), std::move(Body));
-    Out->setUnitName(FS->getUnitName());
+    Out->setUnitName(FS->getUnitSymbol());
     return Out;
   }
 
@@ -125,11 +125,11 @@ void collectReferencedNames(const RoutineDecl *R,
 
 std::unique_ptr<RoutineDecl> projectRoutine(const RoutineDecl *R,
                                             const StaticSlice &Slice) {
-  auto Out = std::make_unique<RoutineDecl>(R->getLoc(), R->getName(),
+  auto Out = std::make_unique<RoutineDecl>(R->getLoc(), R->getNameSymbol(),
                                            R->isFunction(),
                                            R->getReturnType());
   for (const auto &P : R->getParams())
-    Out->addParam(std::make_unique<VarDecl>(P->getLoc(), P->getName(),
+    Out->addParam(std::make_unique<VarDecl>(P->getLoc(), P->getNameSymbol(),
                                             P->getType(), P->getVarKind(),
                                             P->getMode()));
   for (const auto &N : R->getNested())
@@ -150,7 +150,7 @@ std::unique_ptr<RoutineDecl> projectRoutine(const RoutineDecl *R,
   collectReferencedNames(Out.get(), Referenced);
   for (const auto &L : R->getLocals())
     if (Referenced.count(L->getName()))
-      Out->addLocal(std::make_unique<VarDecl>(L->getLoc(), L->getName(),
+      Out->addLocal(std::make_unique<VarDecl>(L->getLoc(), L->getNameSymbol(),
                                               L->getType(), L->getVarKind(),
                                               L->getMode()));
 

@@ -8,7 +8,7 @@ using namespace gadt;
 using namespace gadt::tgen;
 using namespace gadt::interp;
 
-ValueEnv gadt::tgen::extractFeatures(const std::vector<Binding> &Inputs) {
+ValueEnv gadt::tgen::extractFeatures(std::span<const Binding> Inputs) {
   ValueEnv Env;
   for (const Binding &B : Inputs) {
     if (B.V.isInt() || B.V.isBool()) {
@@ -62,6 +62,6 @@ gadt::tgen::classifyFeatures(const TestSpec &Spec, const ValueEnv &Features) {
 
 std::optional<TestFrame>
 gadt::tgen::classifyInputs(const TestSpec &Spec,
-                           const std::vector<Binding> &Inputs) {
+                           std::span<const Binding> Inputs) {
   return classifyFeatures(Spec, extractFeatures(Inputs));
 }

@@ -23,6 +23,7 @@
 #include "tgen/TestSpec.h"
 
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace gadt {
@@ -32,7 +33,7 @@ namespace tgen {
 ///  - each integer/boolean input under its own name;
 ///  - for each array input `a`: `a_len` (element count), and when nonempty
 ///    `a_min`, `a_max`, `a_spread` (max - min).
-ValueEnv extractFeatures(const std::vector<interp::Binding> &Inputs);
+ValueEnv extractFeatures(std::span<const interp::Binding> Inputs);
 
 /// Selects, per category, the first choice whose selector holds for the
 /// properties accumulated so far and whose `when` classifier is true for
@@ -45,7 +46,7 @@ std::optional<TestFrame> classifyFeatures(const TestSpec &Spec,
 /// Convenience: features straight from bindings.
 std::optional<TestFrame>
 classifyInputs(const TestSpec &Spec,
-               const std::vector<interp::Binding> &Inputs);
+               std::span<const interp::Binding> Inputs);
 
 } // namespace tgen
 } // namespace gadt

@@ -2,6 +2,7 @@
 
 #include "tgen/ConstEval.h"
 
+#include "interp/Arith.h"
 #include "support/Casting.h"
 
 using namespace gadt;
@@ -51,7 +52,7 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
     if (UE->getOp() == UnaryOp::Neg) {
       if (!Op->isInt())
         return std::nullopt;
-      return Value::makeInt(-Op->asInt());
+      return Value::makeInt(arith::neg(Op->asInt()));
     }
     if (!Op->isBool())
       return std::nullopt;
@@ -75,19 +76,19 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
       int64_t A = L->asInt(), B = R->asInt();
       switch (BE->getOp()) {
       case BinaryOp::Add:
-        return Value::makeInt(A + B);
+        return Value::makeInt(arith::add(A, B));
       case BinaryOp::Sub:
-        return Value::makeInt(A - B);
+        return Value::makeInt(arith::sub(A, B));
       case BinaryOp::Mul:
-        return Value::makeInt(A * B);
+        return Value::makeInt(arith::mul(A, B));
       case BinaryOp::Div:
         if (B == 0)
           return std::nullopt;
-        return Value::makeInt(A / B);
+        return Value::makeInt(arith::div(A, B));
       case BinaryOp::Mod:
         if (B == 0)
           return std::nullopt;
-        return Value::makeInt(A % B);
+        return Value::makeInt(arith::mod(A, B));
       default:
         return std::nullopt;
       }

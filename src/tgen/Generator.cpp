@@ -2,6 +2,7 @@
 
 #include "tgen/Generator.h"
 
+#include "interp/Arith.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -56,7 +57,8 @@ std::optional<Value> gadt::tgen::evalGenExpr(const Expr *E,
       auto V = evalGenExpr(Args[0].get(), Env);
       if (!V || !V->isInt())
         return std::nullopt;
-      return Value::makeInt(V->asInt() < 0 ? -V->asInt() : V->asInt());
+      return Value::makeInt(V->asInt() < 0 ? arith::neg(V->asInt())
+                                           : V->asInt());
     }
 
     return std::nullopt; // unknown builtin

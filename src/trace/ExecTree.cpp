@@ -7,14 +7,14 @@ using namespace gadt::trace;
 using namespace gadt::interp;
 
 const Binding *ExecNode::findOutput(const std::string &Name) const {
-  for (const Binding &B : Outputs)
+  for (const Binding &B : getOutputs())
     if (B.Name == Name)
       return &B;
   return nullptr;
 }
 
 const Binding *ExecNode::findInput(const std::string &Name) const {
-  for (const Binding &B : Inputs)
+  for (const Binding &B : getInputs())
     if (B.Name == Name)
       return &B;
   return nullptr;
@@ -27,14 +27,15 @@ std::string ExecNode::signature() const {
 
   // A function's result is rendered after the parenthesis, paper-style:
   // decrement(In y: 3)=4.
+  std::span<const Binding> Outputs = getOutputs();
   const Binding *ResultBinding = nullptr;
   if (getRoutine() && getRoutine()->isFunction() && !Outputs.empty() &&
-      Outputs.back().Name == getRoutine()->getName())
+      Outputs.back().Name == getRoutine()->getNameSymbol())
     ResultBinding = &Outputs.back();
 
   Out += "(";
   bool First = true;
-  for (const Binding &B : Inputs) {
+  for (const Binding &B : getInputs()) {
     if (!First)
       Out += ", ";
     First = false;
@@ -112,16 +113,10 @@ std::string ExecTree::dot(const support::NodeSet *Kept) const {
 }
 
 size_t ExecTree::memoryBytes() const {
-  size_t Bytes = Nodes.capacity() * sizeof(ExecNode);
-  for (const ExecNode &N : Nodes) {
-    Bytes += (N.getInputs().capacity() + N.getOutputs().capacity()) *
-             sizeof(Binding);
-    for (const Binding &B : N.getInputs())
-      if (B.V.isArray())
-        Bytes += B.V.asArray().Elems.capacity() * sizeof(int64_t);
-    for (const Binding &B : N.getOutputs())
-      if (B.V.isArray())
-        Bytes += B.V.asArray().Elems.capacity() * sizeof(int64_t);
-  }
+  size_t Bytes = Nodes.capacity() * sizeof(ExecNode) +
+                 Bindings.capacity() * sizeof(Binding);
+  for (const Binding &B : Bindings)
+    if (B.V.isArray())
+      Bytes += B.V.asArray().Elems.capacity() * sizeof(int64_t);
   return Bytes;
 }

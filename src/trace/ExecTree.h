@@ -18,6 +18,10 @@
 /// interval, and child/sibling/parent navigation is pointer arithmetic —
 /// no per-node unique_ptr, child vector, or recursive destructor.
 ///
+/// Bindings are pooled the same way: the tree owns one binding array, and
+/// each node's inputs and outputs are one (offset, count) span of it — the
+/// inputs, then the outputs — appended by the execution as the unit exits.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GADT_TRACE_EXECTREE_H
@@ -27,6 +31,7 @@
 #include "support/NodeSet.h"
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,8 +57,12 @@ public:
   uint32_t getIterIndex() const { return IterIndex; }
   SourceLoc getLoc() const { return Loc; }
 
-  const std::vector<interp::Binding> &getInputs() const { return Inputs; }
-  const std::vector<interp::Binding> &getOutputs() const { return Outputs; }
+  std::span<const interp::Binding> getInputs() const {
+    return {Pool->data() + BindingStart, NumInputs};
+  }
+  std::span<const interp::Binding> getOutputs() const {
+    return {Pool->data() + BindingStart + NumInputs, NumOutputs};
+  }
 
   /// Number of nodes in this subtree (including this node) — O(1), stored
   /// when the unit exited during tracing.
@@ -165,13 +174,22 @@ private:
   const pascal::Expr *CallExpr = nullptr;
   const pascal::Stmt *LoopStmt = nullptr;
   SourceLoc Loc;
-  std::vector<interp::Binding> Inputs;
-  std::vector<interp::Binding> Outputs;
+  /// The owning tree's binding pool, and this node's span of it: NumInputs
+  /// inputs from BindingStart, then NumOutputs outputs.
+  const std::vector<interp::Binding> *Pool = nullptr;
+  uint32_t BindingStart = 0;
+  uint32_t NumInputs = 0;
+  uint32_t NumOutputs = 0;
 };
 
-/// The whole tree: a flat preorder arena, index == unit id.
+/// The whole tree: a flat preorder arena, index == unit id, plus the
+/// binding pool its nodes point into (so a tree never moves).
 class ExecTree {
 public:
+  ExecTree() = default;
+  ExecTree(const ExecTree &) = delete;
+  ExecTree &operator=(const ExecTree &) = delete;
+
   /// The root (id 1), or null for an empty tree.
   ExecNode *getRoot() const {
     return Nodes.size() > 1 ? const_cast<ExecNode *>(&Nodes[1]) : nullptr;
@@ -213,6 +231,7 @@ private:
   friend class ExecTreeBuilder;
 
   std::vector<ExecNode> Nodes; ///< [0] is an unused dummy slot
+  std::vector<interp::Binding> Bindings; ///< every node's inputs and outputs
 };
 
 } // namespace trace

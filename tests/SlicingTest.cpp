@@ -471,8 +471,11 @@ syntheticTree(const std::vector<uint32_t> &Parents,
     while (!Open.empty() && Open.back() != ParentId) {
       uint32_t Id = Open.back();
       Open.pop_back();
-      B.exitUnit(Id, {}, Id == 1 ? std::move(RootOutputs)
-                                 : std::vector<Binding>{});
+      size_t NumOut = Id == 1 ? RootOutputs.size() : 0;
+      if (Id == 1)
+        B.bindings().insert(B.bindings().end(), RootOutputs.begin(),
+                            RootOutputs.end());
+      B.exitUnit(Id, 0, NumOut);
     }
   };
   for (uint32_t I = 0; I < Parents.size(); ++I) {
