@@ -114,6 +114,20 @@ void BM_TraceFigure4WithDeps(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceFigure4WithDeps);
 
+/// buildExecTree on chain/28 at 1 and 4 threads: the trace layer of a warm
+/// batch_warm session (~28 one-statement units), and how it scales across
+/// BatchRunner workers. Names interned at declaration and per-thread spare
+/// run buffers keep the threads off every shared lock.
+void BM_ConcurrentTraceChain(benchmark::State &State) {
+  static const std::unique_ptr<pascal::Program> Prog =
+      compileOrDie(workload::chainProgram(28, 14).Buggy);
+  for (auto _ : State) {
+    auto Tree = trace::buildExecTree(*Prog, {}, {});
+    benchmark::DoNotOptimize(Tree);
+  }
+}
+BENCHMARK(BM_ConcurrentTraceChain)->Threads(1)->Threads(4)->UseRealTime();
+
 void BM_InterpretChain(benchmark::State &State) {
   auto Prog = compileOrDie(
       workload::chainProgram(static_cast<unsigned>(State.range(0)), 1)
