@@ -15,6 +15,12 @@ Registry &Registry::global() {
   return R;
 }
 
+Registry::~Registry() {
+  for (ResolvedSlot &S : Resolved)
+    if (const void *P = S.Set.load(std::memory_order_relaxed))
+      S.Destroy(P);
+}
+
 Counter &Registry::counter(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Counters.find(Name);

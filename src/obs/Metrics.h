@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -174,12 +175,31 @@ public:
   Registry() = default;
   Registry(const Registry &) = delete;
   Registry &operator=(const Registry &) = delete;
+  ~Registry();
 
   static Registry &global();
 
   Counter &counter(std::string_view Name);
   Gauge &gauge(std::string_view Name);
   Histogram &histogram(std::string_view Name);
+
+  /// The instrument set \p T (a struct of instrument references, built as
+  /// `T(Registry &)`) resolved from this registry: built on the first call
+  /// and kept for the registry's lifetime, so code that runs once per
+  /// session reaches its instruments with one atomic load rather than
+  /// by-name lookups under the registry's lock. Its instruments appear in
+  /// snapshots from that first call on.
+  template <typename T> const T &resolved() {
+    ResolvedSlot &S = Resolved[resolvedIndex<T>()];
+    if (const void *P = S.Set.load(std::memory_order_acquire))
+      return *static_cast<const T *>(P);
+    std::lock_guard<std::mutex> Lock(ResolvedM);
+    if (!S.Set.load(std::memory_order_relaxed)) {
+      S.Destroy = [](const void *P) { delete static_cast<const T *>(P); };
+      S.Set.store(new T(*this), std::memory_order_release);
+    }
+    return *static_cast<const T *>(S.Set.load(std::memory_order_relaxed));
+  }
 
   /// Current value of the named counter; 0 when it was never touched.
   uint64_t counterValue(std::string_view Name) const;
@@ -208,6 +228,25 @@ public:
   SnapshotData snapshotData() const;
 
 private:
+  /// Distinct resolved() set types per process.
+  static constexpr unsigned MaxResolved = 4;
+  template <typename T> static unsigned resolvedIndex() {
+    static const unsigned I = [] {
+      unsigned N = NextResolvedIndex.fetch_add(1);
+      if (N >= MaxResolved) // raise MaxResolved
+        std::abort();
+      return N;
+    }();
+    return I;
+  }
+  static inline std::atomic<unsigned> NextResolvedIndex{0};
+  struct ResolvedSlot {
+    std::atomic<const void *> Set{nullptr};
+    void (*Destroy)(const void *) = nullptr;
+  };
+  ResolvedSlot Resolved[MaxResolved];
+  std::mutex ResolvedM;
+
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;

@@ -158,6 +158,28 @@ TEST(MetricsTest, CountersAndGaugesAreExact) {
   EXPECT_EQ(Reg.gaugeValue("test.gauge"), 3);
 }
 
+namespace {
+struct TwoCounters {
+  explicit TwoCounters(obs::Registry &R)
+      : A(R.counter("set.a")), B(R.counter("set.b")) {}
+  obs::Counter &A, &B;
+};
+} // namespace
+
+TEST(MetricsTest, ResolvedSetIsBuiltOnceOnFirstUse) {
+  obs::Registry Reg;
+  EXPECT_TRUE(Reg.snapshotData().Counters.empty());
+  const TwoCounters &S = Reg.resolved<TwoCounters>();
+  EXPECT_EQ(&S, &Reg.resolved<TwoCounters>());
+  EXPECT_EQ(&S.A, &Reg.counter("set.a"));
+  S.B.add(3);
+  EXPECT_EQ(Reg.counterValue("set.b"), 3u);
+  EXPECT_EQ(Reg.snapshotData().Counters.size(), 2u);
+  // Another registry resolves its own set.
+  obs::Registry Other;
+  EXPECT_NE(&Other.resolved<TwoCounters>().B, &S.B);
+}
+
 TEST(MetricsTest, HistogramBucketsByBitWidth) {
   obs::Histogram H;
   EXPECT_EQ(obs::Histogram::bucketOf(0), 0u);
@@ -553,6 +575,24 @@ TEST(ObservabilityTest, PrivateRegistryKeepsGlobalClean) {
   EXPECT_EQ(Reg.counterValue("runtime.sessions"), 1u);
   EXPECT_EQ(obs::Registry::global().counterValue("runtime.sessions"),
             GlobalBefore);
+}
+
+TEST(ObservabilityTest, SessionCountersAppearWithTheFirstSession) {
+  // Session instruments resolve on first use, so a registry no session
+  // has reported into lists none of them.
+  obs::Registry Reg;
+  RuntimeContext Ctx(&Reg);
+  for (const auto &[Name, V] : Reg.snapshotData().Counters) {
+    EXPECT_NE(Name.rfind("debug.", 0), 0u) << Name;
+    EXPECT_NE(Name, "runtime.sessions");
+  }
+  SessionRequest R;
+  R.Source = Figure4Buggy;
+  R.Intended = Figure4Fixed;
+  SessionResult Res = runSession(Ctx, R);
+  ASSERT_TRUE(Res.Prepared) << Res.Message;
+  EXPECT_EQ(Reg.counterValue("debug.sessions"), 1u);
+  EXPECT_EQ(Reg.counterValue("runtime.sessions"), 1u);
 }
 
 //===----------------------------------------------------------------------===//
